@@ -1,22 +1,18 @@
 """Columnar per-job records: the sink, the schema, and (de)serialization.
 
-The analytics layer keeps what :func:`repro.metrics.aggregates
-.compute_metrics` throws away: one fixed-width row per completed job, in
-completion order, in a NumPy structured array (~100 bytes/job).  A
-:class:`JobRecordSink` is attached to the simulation's job-completion
-dispatch (``Simulation(..., sinks=[sink])``) and folds each job exactly
-once, computing the derived metric columns (response, wait, slowdown,
-bounded slowdown, runtime, CPU-seconds) with the *same arithmetic, in the
-same order* as :class:`repro.metrics.streaming.StreamingMetrics.fold`.
+The analytics layer keeps what the simulation's metric fold throws away:
+one fixed-width row per completed job, in completion order, in a NumPy
+structured array (115 bytes/job).  A :class:`JobRecordSink` is attached
+to the simulation's job-completion dispatch (``Simulation(...,
+sinks=[sink])``) and folds each job exactly once; its derived metric
+columns (response, wait, slowdown, bounded slowdown, runtime) come from
+:func:`repro.metrics.aggregates.job_metric_values`, the same per-job
+helper :class:`repro.metrics.streaming.StreamingMetrics` folds through.
 
 Storing the derived ``float64`` values verbatim is what makes
-:func:`metrics_from_records` bit-identical to both ``StreamingMetrics``
-and batch ``compute_metrics``: the NumPy reductions
-(``np.mean``/``np.median``/``np.percentile``) see the same values in the
-same order, so pairwise summation reproduces exactly.  Recomputing the
-columns at query time from submit/start/end would *also* reproduce (the
-formulas are single IEEE-754 operations) but storing them keeps the query
-layer honest and cheap.
+:func:`metrics_from_records` bit-identical to ``StreamingMetrics``: both
+reduce the same values in the same order through
+:func:`repro.metrics.aggregates.metrics_from_columns`.
 
 Serialized form (one blob per run)::
 
@@ -39,11 +35,16 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.metrics.aggregates import WorkloadMetrics
+from repro.metrics.aggregates import (
+    WorkloadMetrics,
+    job_metric_values,
+    metrics_from_columns,
+)
+from repro.metrics.streaming import ChunkedArray
 from repro.simulator.job import Job
 
 __all__ = [
@@ -83,102 +84,65 @@ JOB_RECORD_DTYPE = np.dtype(
     ]
 )
 
-#: Bounded-slowdown threshold, matching ``StreamingMetrics``/``compute_metrics``.
-_BOUNDED_SLOWDOWN_TAU = 10.0
-
 _HEADER_LEN = struct.Struct(">Q")
 
 
 class JobRecordSink:
     """A job sink that buffers one structured-array row per completed job.
 
-    Rows are appended into chunks that double from ``min_chunk`` up to
-    ``max_chunk`` entries (the :class:`~repro.metrics.streaming
-    .ChunkedFloatBuffer` allocation strategy), so a 100-job smoke run costs
-    one small chunk while a million-job replay amortises allocation.
+    Rows go into a :class:`~repro.metrics.streaming.ChunkedArray`, so a
+    100-job smoke run costs one small chunk while a million-job replay
+    amortises allocation.
     """
 
-    __slots__ = ("_chunks", "_current", "_fill", "_min_chunk", "_max_chunk")
+    __slots__ = ("_rows",)
 
     def __init__(self, min_chunk: int = 1024, max_chunk: int = 65536) -> None:
-        if min_chunk <= 0 or max_chunk < min_chunk:
-            raise ValueError(f"invalid chunk sizes {min_chunk}/{max_chunk}")
-        self._chunks: List[np.ndarray] = []
-        self._current: Optional[np.ndarray] = None
-        self._fill = 0
-        self._min_chunk = min_chunk
-        self._max_chunk = max_chunk
+        self._rows = ChunkedArray(JOB_RECORD_DTYPE, min_chunk, max_chunk)
 
     def __len__(self) -> int:
-        return sum(len(c) for c in self._chunks) + self._fill
+        return len(self._rows)
 
     def fold(self, job: Job) -> None:
         """Record one *completed* job (same contract as ``StreamingMetrics``)."""
-        if job.end_time is None or job.start_time is None:
-            raise ValueError(f"job {job.job_id} is not completed; cannot fold")
-        response = job.end_time - job.submit_time
-        wait = job.start_time - job.submit_time
-        slowdown = response / job.static_runtime
-        bounded = max(
-            1.0, response / max(job.static_runtime, _BOUNDED_SLOWDOWN_TAU)
-        )
+        response, wait, slowdown, bounded, runtime = job_metric_values(job)
         cpu_seconds = 0.0
         for slot in job.resource_history:
             duration = slot.duration
             if duration > 0 and math.isfinite(duration):
                 cpu_seconds += slot.total_cpus * duration
-        current = self._current
-        if current is None or self._fill == len(current):
-            if current is not None:
-                self._chunks.append(current)
-            size = (
-                self._min_chunk
-                if current is None
-                else min(self._max_chunk, 2 * len(current))
+        self._rows.append(
+            (
+                job.job_id,
+                int(job.user),
+                int(job.group),
+                job.submit_time,
+                job.start_time,
+                job.end_time,
+                job.requested_nodes,
+                job.requested_cpus,
+                job.requested_time,
+                job.static_runtime,
+                response,
+                wait,
+                runtime,
+                slowdown,
+                bounded,
+                cpu_seconds,
+                1 if job.malleable else 0,
+                1 if job.scheduled_malleable else 0,
+                1 if job.was_mate else 0,
             )
-            current = self._current = np.empty(size, dtype=JOB_RECORD_DTYPE)
-            self._fill = 0
-        current[self._fill] = (
-            job.job_id,
-            int(job.user),
-            int(job.group),
-            job.submit_time,
-            job.start_time,
-            job.end_time,
-            job.requested_nodes,
-            job.requested_cpus,
-            job.requested_time,
-            job.static_runtime,
-            response,
-            wait,
-            job.end_time - job.start_time,
-            slowdown,
-            bounded,
-            cpu_seconds,
-            1 if job.malleable else 0,
-            1 if job.scheduled_malleable else 0,
-            1 if job.was_mate else 0,
         )
-        self._fill += 1
 
     def to_array(self) -> np.ndarray:
         """The recorded rows, in completion order, as one structured array."""
-        parts = list(self._chunks)
-        if self._current is not None and self._fill:
-            parts.append(self._current[: self._fill])
-        if not parts:
-            return np.empty(0, dtype=JOB_RECORD_DTYPE)
-        if len(parts) == 1:
-            return np.ascontiguousarray(parts[0])
-        return np.concatenate(parts)
+        return self._rows.as_array()
 
     @property
     def nbytes(self) -> int:
         """Bytes currently allocated (including unfilled chunk headroom)."""
-        total = sum(c.nbytes for c in self._chunks)
-        if self._current is not None:
-            total += self._current.nbytes
-        return total
+        return self._rows.nbytes
 
 
 @dataclass
@@ -240,49 +204,24 @@ class RunRecords:
 def metrics_from_records(records: RunRecords) -> WorkloadMetrics:
     """Rebuild the run's :class:`WorkloadMetrics` from persisted records.
 
-    Bit-identical to ``StreamingMetrics.workload_metrics`` (and hence to
-    batch ``compute_metrics``) for the same run: the derived columns hold
-    the exact folded values in completion order, and the reductions below
-    are the same NumPy calls over contiguous ``float64`` copies.  The
-    run-level makespan origin and energy come from ``records.meta``
-    (``first_submit``, ``energy_joules``) because they are not derivable
-    from completed-job rows alone.
+    Bit-identical to ``StreamingMetrics.workload_metrics`` for the same
+    run: the derived columns hold the exact folded values in completion
+    order, and both go through :func:`~repro.metrics.aggregates
+    .metrics_from_columns`.  The run-level makespan origin and energy come
+    from ``records.meta`` (``first_submit``, ``energy_joules``) because
+    they are not derivable from completed-job rows alone.
     """
     arr = records.array
-    energy = float(records.meta.get("energy_joules", 0.0))
-    if not len(arr):
-        return WorkloadMetrics(
-            num_jobs=0,
-            makespan=0.0,
-            avg_response_time=0.0,
-            avg_wait_time=0.0,
-            avg_slowdown=0.0,
-            avg_bounded_slowdown=0.0,
-            median_slowdown=0.0,
-            p95_slowdown=0.0,
-            avg_runtime=0.0,
-            malleable_scheduled=0,
-            mate_jobs=0,
-            energy_joules=energy,
-        )
     first_submit = records.meta.get("first_submit")
-    origin = (
-        float(np.min(arr["submit"])) if first_submit is None else float(first_submit)
-    )
-    slowdowns = np.ascontiguousarray(arr["slowdown"])
-    return WorkloadMetrics(
-        num_jobs=len(arr),
-        makespan=max(0.0, float(np.max(arr["end"])) - origin),
-        avg_response_time=float(np.mean(np.ascontiguousarray(arr["response"]))),
-        avg_wait_time=float(np.mean(np.ascontiguousarray(arr["wait"]))),
-        avg_slowdown=float(np.mean(slowdowns)),
-        avg_bounded_slowdown=float(
-            np.mean(np.ascontiguousarray(arr["bounded_slowdown"]))
-        ),
-        median_slowdown=float(np.median(slowdowns)),
-        p95_slowdown=float(np.percentile(slowdowns, 95)),
-        avg_runtime=float(np.mean(np.ascontiguousarray(arr["runtime"]))),
+    return metrics_from_columns(
+        arr,
         malleable_scheduled=int(np.count_nonzero(arr["scheduled_malleable"])),
         mate_jobs=int(np.count_nonzero(arr["was_mate"])),
-        energy_joules=energy,
+        origin=(
+            float(np.min(arr["submit"], initial=math.inf))
+            if first_submit is None
+            else float(first_submit)
+        ),
+        last_end=float(np.max(arr["end"], initial=-math.inf)),
+        energy_joules=float(records.meta.get("energy_joules", 0.0)),
     )

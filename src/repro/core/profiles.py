@@ -20,8 +20,8 @@ Table 2 (PILS compute-bound / low memory, STREAM memory-bound / low CPU,
 CoreNeuron & NEST compute+memory intensive, Alya multi-physics) and to the
 DROM paper's observation that shrinking costs little for memory-bound codes.
 
-This module is the single source of truth for the profiles; the historical
-:mod:`repro.realrun.apps` module re-exports it for backwards compatibility.
+This module is the single source of truth for the profiles, shared by the
+schedulers, the runtime models and the real-run emulator.
 Profiles are grouped into named *profile sets* so policies and runtime
 models can be pointed at a different calibration (``--profiles`` on the
 CLI); the schema of a profile is fingerprinted in ``formats.lock`` under

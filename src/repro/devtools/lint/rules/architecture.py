@@ -3,10 +3,9 @@
 The shared simulation layers (``core/``, ``simulator/``) are the bottom of
 the dependency stack — the profile and contention models they need live in
 :mod:`repro.core.profiles` / :mod:`repro.core.contention`.  The emulator
-package ``realrun/`` sits *above* them (it re-exports the promoted models
-for backwards compatibility), so an import in the other direction is a
-layering inversion that would quietly re-grow the cycle the promotion
-removed.
+package ``realrun/`` sits *above* them (it imports the promoted models),
+so an import in the other direction is a layering inversion that would
+quietly re-grow the cycle the promotion removed.
 """
 
 from __future__ import annotations

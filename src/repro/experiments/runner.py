@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.analytics.records import JobRecordSink, RunRecords
 from repro.core.policy import make_policy, policy_accepts_profiles
 from repro.core.runtime_model import RuntimeModel, WorstCaseRuntimeModel
-from repro.metrics.aggregates import WorkloadMetrics, compute_metrics
+from repro.metrics.aggregates import WorkloadMetrics
 from repro.metrics.energy import LinearPowerModel
 from repro.schedulers.base import Scheduler
 from repro.simulator.cluster import Cluster
@@ -118,10 +118,11 @@ def run_workload(
 
     With ``retain_jobs=False`` the run streams: jobs are materialised
     lazily, folded into aggregates at completion and discarded, so memory
-    stays near-constant in the job count.  ``PolicyRun.metrics`` carries the
-    same values either way (bit-identical summation order), but
-    ``PolicyRun.jobs`` is empty, so per-job reports (heatmaps, daily
-    series, real-run tables) need the default retained mode.
+    stays near-constant in the job count.  ``PolicyRun.metrics`` comes from
+    the simulation's streaming fold in both modes, so it is the same
+    either way, but ``PolicyRun.jobs`` is empty, so per-job reports
+    (heatmaps, daily series, real-run tables) need the default retained
+    mode.
 
     With ``analytics=True`` a :class:`repro.analytics.JobRecordSink` rides
     the completion dispatch and ``PolicyRun.records`` carries one columnar
@@ -195,17 +196,10 @@ def run_workload(
     result = sim.run()
     elapsed = time.perf_counter() - started
     metrics_started = time.perf_counter()
-    if retain_jobs:
-        metrics = compute_metrics(
-            result.jobs,
-            energy_joules=result.energy_joules,
-            first_submit=result.first_submit,
-        )
-    else:
-        metrics = sim.streaming.workload_metrics(
-            energy_joules=result.energy_joules,
-            first_submit=result.first_submit,
-        )
+    metrics = sim.streaming.workload_metrics(
+        energy_joules=result.energy_joules,
+        first_submit=result.first_submit,
+    )
     phases = {
         "simulate": elapsed,
         "metrics": time.perf_counter() - metrics_started,

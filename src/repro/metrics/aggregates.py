@@ -5,77 +5,56 @@ The paper evaluates every experiment with four metrics:
 * **Makespan** — last job end time minus first job arrival time.
 * **Average response time** — mean of (end − submit) over all jobs.
 * **Average slowdown** — mean of (response time / static execution time).
-* **Energy consumption** — handled by :mod:`repro.metrics.energy`.
+* **Energy consumption** — integrated by
+  :meth:`repro.metrics.streaming.StreamingMetrics.energy_joules`.
 
-All functions work on plain sequences of completed
-:class:`repro.simulator.job.Job` objects so they can be applied both to
-simulation results and to the real-run emulation.
+Every :class:`WorkloadMetrics` is built by one reduction,
+:func:`metrics_from_columns`, over per-job metric columns in completion
+order.  :func:`job_metric_values` is the one copy of the per-job formulas
+that fills those columns at job completion (both
+:class:`~repro.metrics.streaming.StreamingMetrics` and
+:class:`~repro.analytics.records.JobRecordSink` fold through it), and
+:func:`compute_metrics` is the reference oracle over retained
+:class:`repro.simulator.job.Job` objects, reading each job's own
+properties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.simulator.job import Job
 
+#: Bounded-slowdown threshold (seconds) of the metric suite.
+BOUNDED_SLOWDOWN_TAU = 10.0
 
-def _completed(jobs: Iterable[Job]) -> List[Job]:
-    done = [j for j in jobs if j.end_time is not None]
-    return done
+#: The per-job metric columns, in :func:`job_metric_values` order.
+METRIC_COLUMNS = ("response", "wait", "slowdown", "bounded_slowdown", "runtime")
 
 
-def makespan(jobs: Iterable[Job], first_submit: Optional[float] = None) -> float:
-    """Last end time minus the run's first arrival time (0 for an empty set).
+def job_metric_values(job: Job) -> Tuple[float, float, float, float, float]:
+    """The :data:`METRIC_COLUMNS` values of one *completed* job.
 
-    ``first_submit`` anchors the origin at the *run-level* first submission.
-    Without it the origin falls back to the earliest submit among the
-    completed jobs — which silently drifts late whenever the
-    earliest-submitted job was dropped or never finished, disagreeing with
-    :meth:`repro.simulator.simulation.Simulation.result`.  Pass the
-    simulation's recorded first submit whenever it is available.
+    Response, wait, slowdown (response over the static runtime), bounded
+    slowdown and runtime, each a single IEEE-754 operation so every sink
+    that folds a job stores the same ``float64`` values.
     """
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    origin = min(j.submit_time for j in done) if first_submit is None else first_submit
-    last_end = max(j.end_time for j in done)
-    return max(0.0, last_end - origin)
-
-
-def average_response_time(jobs: Iterable[Job]) -> float:
-    """Mean of end − submit over the completed jobs."""
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    return float(np.mean([j.response_time for j in done]))
-
-
-def average_wait_time(jobs: Iterable[Job]) -> float:
-    """Mean queue wait over the completed jobs."""
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    return float(np.mean([j.wait_time for j in done]))
-
-
-def average_slowdown(jobs: Iterable[Job]) -> float:
-    """Mean of response / static runtime over the completed jobs."""
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    return float(np.mean([j.slowdown for j in done]))
-
-
-def average_bounded_slowdown(jobs: Iterable[Job], tau: float = 10.0) -> float:
-    """Mean bounded slowdown (threshold ``tau``), for completeness."""
-    done = _completed(jobs)
-    if not done:
-        return 0.0
-    return float(np.mean([j.bounded_slowdown(tau) for j in done]))
+    end, start = job.end_time, job.start_time
+    if end is None or start is None:
+        raise ValueError(f"job {job.job_id} is not completed; cannot fold")
+    response = end - job.submit_time
+    static = job.static_runtime
+    return (
+        response,
+        start - job.submit_time,
+        response / static,
+        max(1.0, response / max(static, BOUNDED_SLOWDOWN_TAU)),
+        end - start,
+    )
 
 
 @dataclass
@@ -116,6 +95,50 @@ class WorkloadMetrics:
         return out
 
 
+def metrics_from_columns(
+    columns: Mapping[str, Union[np.ndarray, Sequence[float]]],
+    malleable_scheduled: int,
+    mate_jobs: int,
+    origin: float,
+    last_end: float,
+    energy_joules: float = 0.0,
+) -> WorkloadMetrics:
+    """Reduce per-job metric columns (completion order) to :class:`WorkloadMetrics`.
+
+    ``columns[name]`` holds one value per completed job for every name in
+    :data:`METRIC_COLUMNS`.  Each column is reduced as a contiguous
+    ``float64`` array, so any producer holding the same values in the same
+    order gets bit-identical means (NumPy's pairwise summation depends on
+    order and layout, never on where the values came from).  ``origin``
+    and ``last_end`` bound the makespan; an empty run yields zero metrics
+    (and the given counters and energy).
+    """
+
+    def column(name: str) -> np.ndarray:
+        return np.ascontiguousarray(columns[name], dtype=np.float64)
+
+    slowdowns = column("slowdown")
+    n = len(slowdowns)
+
+    def mean(values: np.ndarray) -> float:
+        return float(np.mean(values)) if n else 0.0
+
+    return WorkloadMetrics(
+        num_jobs=n,
+        makespan=max(0.0, last_end - origin) if n else 0.0,
+        avg_response_time=mean(column("response")),
+        avg_wait_time=mean(column("wait")),
+        avg_slowdown=mean(slowdowns),
+        avg_bounded_slowdown=mean(column("bounded_slowdown")),
+        median_slowdown=float(np.median(slowdowns)) if n else 0.0,
+        p95_slowdown=float(np.percentile(slowdowns, 95)) if n else 0.0,
+        avg_runtime=mean(column("runtime")),
+        malleable_scheduled=malleable_scheduled,
+        mate_jobs=mate_jobs,
+        energy_joules=energy_joules,
+    )
+
+
 def compute_metrics(
     jobs: Iterable[Job],
     energy_joules: float = 0.0,
@@ -123,17 +146,15 @@ def compute_metrics(
 ) -> WorkloadMetrics:
     """Compute the full :class:`WorkloadMetrics` for a set of completed jobs.
 
-    One pass over the jobs collects every per-metric series and counter;
-    the NumPy reductions then see the same values in the same order as the
-    previous per-metric passes, so the outputs are bit-identical.
-    ``first_submit`` anchors the makespan at the run-level first submission
-    (see :func:`makespan`).
+    The reference oracle: the per-job values come from each job's own
+    properties (not from :func:`job_metric_values`), unfinished jobs are
+    skipped, and the columns go through :func:`metrics_from_columns`.
+    ``first_submit`` anchors the makespan at the run-level first
+    submission; without it the origin is the earliest submit among the
+    completed jobs, which drifts late whenever the earliest-submitted job
+    never finished.
     """
-    responses: List[float] = []
-    waits: List[float] = []
-    slowdowns_list: List[float] = []
-    bounded: List[float] = []
-    runtimes: List[float] = []
+    columns: Dict[str, List[float]] = {name: [] for name in METRIC_COLUMNS}
     malleable_scheduled = 0
     mate_jobs = 0
     min_submit = math.inf
@@ -141,11 +162,11 @@ def compute_metrics(
     for job in jobs:
         if job.end_time is None:
             continue
-        responses.append(job.response_time)
-        waits.append(job.wait_time)
-        slowdowns_list.append(job.slowdown)
-        bounded.append(job.bounded_slowdown(10.0))
-        runtimes.append(job.actual_runtime)
+        columns["response"].append(job.response_time)
+        columns["wait"].append(job.wait_time)
+        columns["slowdown"].append(job.slowdown)
+        columns["bounded_slowdown"].append(job.bounded_slowdown(BOUNDED_SLOWDOWN_TAU))
+        columns["runtime"].append(job.actual_runtime)
         if job.scheduled_malleable:
             malleable_scheduled += 1
         if job.was_mate:
@@ -154,34 +175,11 @@ def compute_metrics(
             min_submit = job.submit_time
         if job.end_time > max_end:
             max_end = job.end_time
-    if not responses:
-        return WorkloadMetrics(
-            num_jobs=0,
-            makespan=0.0,
-            avg_response_time=0.0,
-            avg_wait_time=0.0,
-            avg_slowdown=0.0,
-            avg_bounded_slowdown=0.0,
-            median_slowdown=0.0,
-            p95_slowdown=0.0,
-            avg_runtime=0.0,
-            malleable_scheduled=0,
-            mate_jobs=0,
-            energy_joules=energy_joules,
-        )
-    origin = min_submit if first_submit is None else first_submit
-    slowdowns = np.asarray(slowdowns_list, dtype=np.float64)
-    return WorkloadMetrics(
-        num_jobs=len(responses),
-        makespan=max(0.0, max_end - origin),
-        avg_response_time=float(np.mean(responses)),
-        avg_wait_time=float(np.mean(waits)),
-        avg_slowdown=float(np.mean(slowdowns)),
-        avg_bounded_slowdown=float(np.mean(bounded)),
-        median_slowdown=float(np.median(slowdowns)),
-        p95_slowdown=float(np.percentile(slowdowns, 95)),
-        avg_runtime=float(np.mean(runtimes)),
+    return metrics_from_columns(
+        columns,
         malleable_scheduled=malleable_scheduled,
         mate_jobs=mate_jobs,
+        origin=min_submit if first_submit is None else first_submit,
+        last_end=max_end,
         energy_joules=energy_joules,
     )

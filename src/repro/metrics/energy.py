@@ -11,7 +11,9 @@ default is the standard linear model
 
 with ``u`` the fraction of the node's CPUs doing useful work.  The real-run
 emulation refines ``u`` with per-application CPU-utilisation factors
-(:mod:`repro.realrun.apps`); the plain simulator uses assigned CPUs.
+(:mod:`repro.core.profiles`); the plain simulator uses assigned CPUs, and
+integrates them in :meth:`repro.metrics.streaming.StreamingMetrics
+.energy_joules` from the model's ``idle_watts`` and ``peak_watts``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.simulator.cluster import Cluster
 from repro.simulator.job import Job
 
 
@@ -41,16 +42,6 @@ class LinearPowerModel:
             raise ValueError("peak_watts must be >= idle_watts")
         if self.idle_watts < 0:
             raise ValueError("idle_watts must be non-negative")
-
-    def node_power(self, utilization: float) -> float:
-        """Power of one node at the given utilisation (clamped to [0, 1])."""
-        u = min(1.0, max(0.0, utilization))
-        return self.idle_watts + (self.peak_watts - self.idle_watts) * u
-
-    def power(self, cluster: Cluster) -> float:
-        """Cluster-wide power used by the simulation driver's integrator."""
-        util = cluster.used_cpus / cluster.total_cpus if cluster.total_cpus else 0.0
-        return cluster.num_nodes * self.node_power(util)
 
 
 def workload_energy(

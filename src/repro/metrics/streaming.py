@@ -1,28 +1,29 @@
 """Streaming (online) aggregation of the paper's metrics.
 
-:class:`StreamingMetrics` folds each job *once, at completion time* into
+:class:`StreamingMetrics` is the simulator's job-completion accumulator and
+the only producer of a simulation's
+:class:`~repro.metrics.aggregates.WorkloadMetrics` and energy.  It folds
+each job *once, at completion time* into
 
-* O(1) scalar state per headline aggregate — sequential sums for the mean
-  response/wait/slowdown (exactly the summation order
+* O(1) scalar state — sequential sums for the mean response/wait/slowdown
+  (exactly the summation order
   :meth:`repro.simulator.simulation.Simulation.result` uses), first-submit /
   last-end extrema for the makespan, malleable/mate counters, and the
-  CPU-second integral behind the energy figure — and
-* compact chunked ``float64`` buffers of the per-job metric values (8 bytes
-  per job per metric instead of a retained :class:`~repro.simulator.job.Job`
-  object), from which the :class:`~repro.metrics.aggregates.WorkloadMetrics`
-  means and the exact slowdown median/p95 are computed.
+  per-slot CPU-second running sum behind the energy figure — and
+* one compact chunked row of the per-job metric columns
+  (:data:`~repro.metrics.aggregates.METRIC_COLUMNS`, 40 bytes per job
+  instead of a retained :class:`~repro.simulator.job.Job` object), from
+  which :func:`~repro.metrics.aggregates.metrics_from_columns` computes the
+  means and the exact slowdown median/p95.
 
-The buffers exist for bit-identity: :func:`repro.metrics.aggregates
-.compute_metrics` takes ``np.mean``/``np.median``/``np.percentile`` over
-per-job arrays, and NumPy's pairwise summation is *not* reproducible from a
-single running scalar sum.  Folding the same values in the same (completion)
-order into a ``float64`` buffer and reducing with the same NumPy calls is
-reproducible — ``StreamingMetrics.workload_metrics`` matches
-``compute_metrics`` bit for bit, which the property suite asserts on every
-workload preset.
+The columns exist for bit-identity: NumPy's pairwise summation is *not*
+reproducible from a single running scalar sum, but reducing the same values
+in the same (completion) order is — so ``workload_metrics`` matches the
+:func:`~repro.metrics.aggregates.compute_metrics` oracle bit for bit, which
+the property suite asserts on every workload preset.
 
 With ``Simulation(..., retain_jobs=False)`` the driver folds each job here
-and then discards it, so a million-job replay holds the metric buffers
+and then discards it, so a million-job replay holds the metric rows
 (~40 bytes/job) instead of the full per-job state (resource histories,
 per-node CPU maps — kilobytes per job).
 """
@@ -34,25 +35,38 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.metrics.aggregates import WorkloadMetrics
+from repro.metrics.aggregates import (
+    METRIC_COLUMNS,
+    WorkloadMetrics,
+    job_metric_values,
+    metrics_from_columns,
+)
 from repro.simulator.job import Job
 
-__all__ = ["ChunkedFloatBuffer", "StreamingMetrics"]
+__all__ = ["ChunkedArray", "StreamingMetrics"]
+
+#: One :class:`StreamingMetrics` row: the per-job metric columns.
+METRIC_ROW_DTYPE = np.dtype([(name, np.float64) for name in METRIC_COLUMNS])
 
 
-class ChunkedFloatBuffer:
-    """An append-only ``float64`` buffer allocated in growing chunks.
+class ChunkedArray:
+    """An append-only one-dimensional array of ``dtype``, grown in chunks.
 
     Chunks double from ``min_chunk`` up to ``max_chunk`` entries, so tiny
     runs stay tiny while million-entry runs amortise allocation; the full
-    array (for NumPy reductions) is materialised only on request.
+    array (for NumPy reductions) is materialised only on request.  With a
+    structured ``dtype`` each appended value is one row tuple, and
+    ``buffer[name]`` gathers a single field.
     """
 
-    __slots__ = ("_chunks", "_current", "_fill", "_min_chunk", "_max_chunk")
+    __slots__ = ("dtype", "_chunks", "_current", "_fill", "_min_chunk", "_max_chunk")
 
-    def __init__(self, min_chunk: int = 1024, max_chunk: int = 65536) -> None:
+    def __init__(
+        self, dtype=np.float64, min_chunk: int = 1024, max_chunk: int = 65536
+    ) -> None:
         if min_chunk <= 0 or max_chunk < min_chunk:
             raise ValueError(f"invalid chunk sizes {min_chunk}/{max_chunk}")
+        self.dtype = np.dtype(dtype)
         self._chunks: List[np.ndarray] = []
         self._current: Optional[np.ndarray] = None
         self._fill = 0
@@ -62,7 +76,7 @@ class ChunkedFloatBuffer:
     def __len__(self) -> int:
         return sum(len(c) for c in self._chunks) + self._fill
 
-    def append(self, value: float) -> None:
+    def append(self, value) -> None:
         current = self._current
         if current is None or self._fill == len(current):
             if current is not None:
@@ -72,20 +86,31 @@ class ChunkedFloatBuffer:
                 if current is None
                 else min(self._max_chunk, 2 * len(current))
             )
-            current = self._current = np.empty(size, dtype=np.float64)
+            current = self._current = np.empty(size, dtype=self.dtype)
             self._fill = 0
         current[self._fill] = value
         self._fill += 1
 
-    def as_array(self) -> np.ndarray:
-        """The buffered values, in append order, as one ``float64`` array."""
+    def _parts(self) -> List[np.ndarray]:
         parts = list(self._chunks)
         if self._current is not None and self._fill:
             parts.append(self._current[: self._fill])
+        return parts
+
+    def as_array(self) -> np.ndarray:
+        """The buffered values, in append order, as one contiguous array."""
+        parts = self._parts()
         if not parts:
-            return np.empty(0, dtype=np.float64)
+            return np.empty(0, dtype=self.dtype)
         if len(parts) == 1:
             return parts[0]
+        return np.concatenate(parts)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """One field of a structured buffer, in append order, contiguous."""
+        parts = [part[name] for part in self._parts()]
+        if not parts:
+            return np.empty(0, dtype=self.dtype[name])
         return np.concatenate(parts)
 
     @property
@@ -105,9 +130,6 @@ class StreamingMetrics:
     derived quantities are then available without the job objects.
     """
 
-    #: Bounded-slowdown threshold, matching ``compute_metrics``.
-    BOUNDED_SLOWDOWN_TAU = 10.0
-
     __slots__ = (
         "count",
         "sum_response",
@@ -118,11 +140,7 @@ class StreamingMetrics:
         "malleable_scheduled",
         "mate_jobs",
         "dynamic_cpu_seconds",
-        "_response",
-        "_wait",
-        "_slowdown",
-        "_bounded",
-        "_runtime",
+        "_rows",
     )
 
     def __init__(self) -> None:
@@ -137,23 +155,16 @@ class StreamingMetrics:
         self.max_end = 0.0
         self.malleable_scheduled = 0
         self.mate_jobs = 0
-        # CPU-second integral of the resource histories, accumulated in the
-        # same (job, slot) order as ``simulation._workload_energy``.
+        # CPU-second integral of the resource histories, summed slot by slot
+        # in (job completion, slot) order.
         self.dynamic_cpu_seconds = 0.0
-        self._response = ChunkedFloatBuffer()
-        self._wait = ChunkedFloatBuffer()
-        self._slowdown = ChunkedFloatBuffer()
-        self._bounded = ChunkedFloatBuffer()
-        self._runtime = ChunkedFloatBuffer()
+        self._rows = ChunkedArray(METRIC_ROW_DTYPE)
 
     # ------------------------------------------------------------------ #
     def fold(self, job: Job) -> None:
         """Fold one *completed* job into the accumulator."""
-        if job.end_time is None or job.start_time is None:
-            raise ValueError(f"job {job.job_id} is not completed; cannot fold")
-        response = job.end_time - job.submit_time
-        wait = job.start_time - job.submit_time
-        slowdown = response / job.static_runtime
+        row = job_metric_values(job)
+        response, wait, slowdown = row[0], row[1], row[2]
         self.count += 1
         self.sum_response += response
         self.sum_slowdown += slowdown
@@ -166,26 +177,13 @@ class StreamingMetrics:
             self.malleable_scheduled += 1
         if job.was_mate:
             self.mate_jobs += 1
-        self._response.append(response)
-        self._wait.append(wait)
-        self._slowdown.append(slowdown)
-        self._bounded.append(
-            max(1.0, response / max(job.static_runtime, self.BOUNDED_SLOWDOWN_TAU))
-        )
-        self._runtime.append(job.end_time - job.start_time)
+        self._rows.append(row)
         for slot in job.resource_history:
             duration = slot.duration
             if duration > 0 and math.isfinite(duration):
                 self.dynamic_cpu_seconds += slot.total_cpus * duration
 
     # ------------------------------------------------------------------ #
-    def makespan(self, first_submit: Optional[float] = None) -> float:
-        """Last end minus the run origin (the folded minimum by default)."""
-        if not self.count:
-            return 0.0
-        origin = self.min_submit if first_submit is None else first_submit
-        return max(0.0, self.max_end - origin)
-
     def energy_joules(
         self,
         num_nodes: int,
@@ -195,7 +193,14 @@ class StreamingMetrics:
         first_submit: float,
         last_end: float,
     ) -> float:
-        """Workload energy, mirroring ``simulation._workload_energy``."""
+        """Workload energy: idle power of every node over the makespan
+        window plus the dynamic power of every folded CPU-second.
+
+        Integrated from the completed jobs' resource histories, so the
+        figure is independent of how simulation events happened to be
+        ordered (in particular of stale end events left in the heap after
+        reconfigurations).
+        """
         if not self.count or last_end <= first_submit:
             return 0.0
         idle_energy = num_nodes * idle_watts * (last_end - first_submit)
@@ -205,47 +210,21 @@ class StreamingMetrics:
     def workload_metrics(
         self, energy_joules: float = 0.0, first_submit: Optional[float] = None
     ) -> WorkloadMetrics:
-        """The full :class:`WorkloadMetrics`, bit-identical to
-        :func:`repro.metrics.aggregates.compute_metrics` over the same jobs
-        in the same order."""
-        if not self.count:
-            return WorkloadMetrics(
-                num_jobs=0,
-                makespan=0.0,
-                avg_response_time=0.0,
-                avg_wait_time=0.0,
-                avg_slowdown=0.0,
-                avg_bounded_slowdown=0.0,
-                median_slowdown=0.0,
-                p95_slowdown=0.0,
-                avg_runtime=0.0,
-                malleable_scheduled=0,
-                mate_jobs=0,
-                energy_joules=energy_joules,
-            )
-        slowdowns = self._slowdown.as_array()
-        return WorkloadMetrics(
-            num_jobs=self.count,
-            makespan=self.makespan(first_submit),
-            avg_response_time=float(np.mean(self._response.as_array())),
-            avg_wait_time=float(np.mean(self._wait.as_array())),
-            avg_slowdown=float(np.mean(slowdowns)),
-            avg_bounded_slowdown=float(np.mean(self._bounded.as_array())),
-            median_slowdown=float(np.median(slowdowns)),
-            p95_slowdown=float(np.percentile(slowdowns, 95)),
-            avg_runtime=float(np.mean(self._runtime.as_array())),
+        """The full :class:`WorkloadMetrics` of the folded jobs.
+
+        The makespan origin is ``first_submit`` (the run-level first
+        submission) when given, else the earliest folded submit.
+        """
+        return metrics_from_columns(
+            self._rows,
             malleable_scheduled=self.malleable_scheduled,
             mate_jobs=self.mate_jobs,
+            origin=self.min_submit if first_submit is None else first_submit,
+            last_end=self.max_end,
             energy_joules=energy_joules,
         )
 
     @property
     def buffer_bytes(self) -> int:
-        """Bytes held by the metric buffers (the streaming mode's O(n) part)."""
-        return (
-            self._response.nbytes
-            + self._wait.nbytes
-            + self._slowdown.nbytes
-            + self._bounded.nbytes
-            + self._runtime.nbytes
-        )
+        """Bytes held by the metric rows (the streaming mode's O(n) part)."""
+        return self._rows.nbytes

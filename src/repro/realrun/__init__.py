@@ -6,9 +6,9 @@ applications (PILS, STREAM, CoreNeuron, NEST, Alya).  Hardware access is not
 available to this reproduction, so the run is *emulated*: the same SD-Policy
 code is driven by the simulator with
 
-* per-application performance models (:mod:`repro.realrun.apps`) capturing
-  CPU- vs memory-bound scaling behaviour,
-* a node-sharing interference model (:mod:`repro.realrun.interference`)
+* the per-application performance models of :mod:`repro.core.profiles`
+  capturing CPU- vs memory-bound scaling behaviour,
+* the node-sharing interference model of :mod:`repro.core.contention`
   reflecting socket-isolated co-scheduling, and
 * an application-aware energy model (:mod:`repro.realrun.energy`).
 
@@ -17,9 +17,9 @@ the percentage improvement of makespan, average response time, average
 slowdown and energy of SD-Policy over static backfill.
 """
 
-from repro.realrun.apps import APPLICATIONS, ApplicationModel, get_application
+from repro.core.contention import ApplicationAwareRuntimeModel, co_run_slowdown
+from repro.core.profiles import APPLICATIONS, ApplicationModel, get_application
 from repro.realrun.emulator import RealRunEmulator, RealRunOutcome
-from repro.realrun.interference import ApplicationAwareRuntimeModel, co_run_slowdown
 
 __all__ = [
     "APPLICATIONS",

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from repro.core.profiles import get_application
 from repro.metrics.energy import LinearPowerModel, workload_energy
-from repro.realrun.apps import get_application
 from repro.simulator.job import Job
 
 

@@ -7,10 +7,8 @@ exclusively owned by a single job.  Under SD-Policy a node may be *shared*
 between an owner (the original, shrunk "mate" job) and one or more guest
 jobs; the node tracks how many CPUs each job currently holds.
 
-Fine-grained core identities (which exact core indices belong to which job,
-socket-aware placement) are handled one level below by the node manager
-(:mod:`repro.nodemanager`); the scheduler-level node model only needs CPU
-counts and ownership.
+The scheduler only needs CPU counts and ownership, so fine-grained core
+identities (which exact core indices belong to which job) are not modelled.
 """
 
 from __future__ import annotations

@@ -206,11 +206,11 @@ def summarize_swf(
     bit-identically, because the means/median run the same NumPy reductions
     over the same values in the same order — without ever materialising the
     record list.  State is a handful of scalar accumulators plus two
-    chunked float buffers (node counts and runtimes, needed for the exact
+    chunked float64 arrays (node counts and runtimes, needed for the exact
     mean/median), so a 100k-line log summarises in ~1.6 MiB of buffer
     instead of 100k ``JobRecord`` objects with their extra-field dicts.
     """
-    from repro.metrics.streaming import ChunkedFloatBuffer
+    from repro.metrics.streaming import ChunkedArray
 
     header: Dict[str, Optional[int]] = {}
     count = 0
@@ -218,8 +218,8 @@ def summarize_swf(
     first_submit = 0.0
     last_submit = 0.0
     work = 0.0
-    nodes = ChunkedFloatBuffer()
-    runtimes = ChunkedFloatBuffer()
+    nodes = ChunkedArray()
+    runtimes = ChunkedArray()
     for record in iter_swf(source, max_jobs=max_jobs, header=header):
         if count == 0:
             first_submit = record.submit_time

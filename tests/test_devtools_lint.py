@@ -130,7 +130,7 @@ class TestArchitectureRules:
     def test_realrun_import_fires(self):
         report = fixture_report("core/realrun_import.py")
         # import repro.realrun, import repro.realrun.emulator,
-        # from repro.realrun.apps import ..., from repro import realrun
+        # from repro.realrun.energy import ..., from repro import realrun
         lines = [line for line, _ in rules_at(report, "arch-realrun-import")]
         assert lines == [3, 4, 5, 6]
 
@@ -143,8 +143,8 @@ class TestArchitectureRules:
         assert "arch-realrun-import" in suppressed_rules(report)
 
     def test_rule_silent_outside_lower_scopes(self):
-        # The realrun/ shims themselves re-export the promoted models;
-        # the layering rule must not fire above the core/simulator layers.
+        # realrun/ imports the promoted core models; the layering rule
+        # must not fire above the core/simulator layers.
         report = lint_paths(
             [str(REPO_ROOT / "src" / "repro" / "realrun")],
             only_rules=["arch-realrun-import"],

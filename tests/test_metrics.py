@@ -7,14 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.metrics.aggregates import (
-    average_bounded_slowdown,
-    average_response_time,
-    average_slowdown,
-    average_wait_time,
-    compute_metrics,
-    makespan,
-)
+from repro.metrics.aggregates import compute_metrics
 from repro.metrics.energy import LinearPowerModel, workload_energy
 from repro.metrics.heatmap import category_heatmap, heatmap_ratio
 from repro.metrics.timeseries import daily_malleable_counts, daily_series_table, daily_slowdown
@@ -34,23 +27,27 @@ def finished_job(job_id=1, submit=0.0, start=10.0, runtime=100.0, nodes=1,
 
 class TestAggregates:
     def test_empty_set(self):
-        assert makespan([]) == 0.0
-        assert average_response_time([]) == 0.0
-        assert average_slowdown([]) == 0.0
-        assert average_wait_time([]) == 0.0
-        assert compute_metrics([]).num_jobs == 0
+        metrics = compute_metrics([], energy_joules=7.0)
+        assert metrics.num_jobs == 0
+        assert metrics.makespan == 0.0
+        assert metrics.avg_response_time == 0.0
+        assert metrics.avg_slowdown == 0.0
+        assert metrics.avg_wait_time == 0.0
+        assert metrics.energy_joules == 7.0
 
     def test_single_job_values(self):
         job = finished_job(submit=0.0, start=50.0, runtime=100.0)
-        assert makespan([job]) == 150.0
-        assert average_response_time([job]) == 150.0
-        assert average_wait_time([job]) == 50.0
-        assert average_slowdown([job]) == pytest.approx(1.5)
+        metrics = compute_metrics([job])
+        assert metrics.makespan == 150.0
+        assert metrics.avg_response_time == 150.0
+        assert metrics.avg_wait_time == 50.0
+        assert metrics.avg_slowdown == pytest.approx(1.5)
+        assert metrics.avg_runtime == 100.0
 
     def test_makespan_spans_first_arrival_to_last_end(self):
         jobs = [finished_job(1, submit=0.0, start=0.0, runtime=10.0),
                 finished_job(2, submit=100.0, start=100.0, runtime=50.0)]
-        assert makespan(jobs) == 150.0
+        assert compute_metrics(jobs).makespan == 150.0
 
     def test_unfinished_jobs_ignored(self):
         done = finished_job(1)
@@ -65,25 +62,27 @@ class TestAggregates:
         dropped = make_job(job_id=1, submit=0.0)  # submitted first, never ran
         late = finished_job(2, submit=100.0, start=100.0, runtime=50.0)
         jobs = [dropped, late]
-        assert makespan(jobs) == 50.0  # drifted: anchored at the survivor
-        assert makespan(jobs, first_submit=0.0) == 150.0
+        assert compute_metrics(jobs).makespan == 50.0  # drifted: anchored at the survivor
         assert compute_metrics(jobs, first_submit=0.0).makespan == 150.0
         # The origin never produces a negative makespan.
-        assert makespan(jobs, first_submit=1e9) == 0.0
+        assert compute_metrics(jobs, first_submit=1e9).makespan == 0.0
 
-    def test_compute_metrics_single_pass_matches_per_metric_helpers(self):
+    def test_compute_metrics_means_match_per_job_values(self):
         jobs = [finished_job(i, submit=10.0 * i, start=10.0 * i + 5.0,
                              runtime=50.0 + 7.0 * i) for i in range(1, 8)]
         metrics = compute_metrics(jobs)
-        assert metrics.makespan == makespan(jobs)
-        assert metrics.avg_response_time == average_response_time(jobs)
-        assert metrics.avg_wait_time == average_wait_time(jobs)
-        assert metrics.avg_slowdown == average_slowdown(jobs)
-        assert metrics.avg_bounded_slowdown == average_bounded_slowdown(jobs)
+        assert metrics.makespan == jobs[-1].end_time - jobs[0].submit_time
+        assert metrics.avg_response_time == np.mean([j.response_time for j in jobs])
+        assert metrics.avg_wait_time == np.mean([j.wait_time for j in jobs])
+        assert metrics.avg_slowdown == np.mean([j.slowdown for j in jobs])
+        assert metrics.avg_bounded_slowdown == np.mean(
+            [j.bounded_slowdown(10.0) for j in jobs]
+        )
+        assert metrics.avg_runtime == np.mean([j.actual_runtime for j in jobs])
 
     def test_bounded_slowdown_at_least_one(self):
         job = finished_job(runtime=1.0, start=0.0, submit=0.0)
-        assert average_bounded_slowdown([job]) >= 1.0
+        assert compute_metrics([job]).avg_bounded_slowdown >= 1.0
 
     def test_compute_metrics_fields(self):
         jobs = [finished_job(i, submit=i * 10.0, start=i * 10.0 + 5, runtime=50.0,
@@ -201,10 +200,13 @@ class TestTimeSeries:
 
 class TestEnergy:
     def test_power_model_bounds(self):
+        """An idle node draws idle_watts; a fully used one peak_watts."""
         model = LinearPowerModel(idle_watts=100.0, peak_watts=300.0)
-        assert model.node_power(0.0) == 100.0
-        assert model.node_power(1.0) == 300.0
-        assert model.node_power(2.0) == 300.0  # clamped
+        job = finished_job(runtime=1.0, start=0.0, submit=0.0, cpus_per_node=8)
+        busy = workload_energy([job], num_nodes=1, cpus_per_node=8, power_model=model)
+        both = workload_energy([job], num_nodes=2, cpus_per_node=8, power_model=model)
+        assert busy == 300.0
+        assert both - busy == 100.0
 
     def test_invalid_power_model(self):
         with pytest.raises(ValueError):

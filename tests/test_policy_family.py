@@ -1,11 +1,11 @@
 """Tests for the pluggable co-scheduling policy family.
 
-Covers the promoted profile/contention layer (and its parity with the
-historical ``realrun`` import path), the policy registry, the
-contention-aware UB-Policy — including the pinned regression that it
-refuses bandwidth-oversubscribed pairings, visible through the decision
-trace — and the ``policy_faceoff`` built-in scenario's determinism across
-serial and sharded execution.
+Covers the promoted profile/contention layer (and the parity of the
+emulator's dilation function with the core contention model), the policy
+registry, the contention-aware UB-Policy — including the pinned regression
+that it refuses bandwidth-oversubscribed pairings, visible through the
+decision trace — and the ``policy_faceoff`` built-in scenario's determinism
+across serial and sharded execution.
 """
 
 from __future__ import annotations
@@ -58,32 +58,9 @@ from repro.workloads.presets import build_workload
 
 
 # --------------------------------------------------------------------- #
-# Parity: the realrun import path IS the promoted core layer
+# Parity: the emulator's dilation function agrees with the core model
 # --------------------------------------------------------------------- #
 class TestRealrunParity:
-    def test_apps_shim_reexports_core_objects(self):
-        from repro.realrun import apps
-
-        assert apps.APPLICATIONS is APPLICATIONS
-        assert apps.DEFAULT_APPLICATION is DEFAULT_APPLICATION
-        from repro.core.profiles import ApplicationModel, get_application
-
-        assert apps.ApplicationModel is ApplicationModel
-        assert apps.get_application is get_application
-
-    def test_interference_shim_reexports_core_objects(self):
-        from repro.realrun import interference
-
-        assert interference.co_run_slowdown is co_run_slowdown
-        assert interference.ContentionModel is ContentionModel
-        assert (
-            interference.ApplicationAwareRuntimeModel is ApplicationAwareRuntimeModel
-        )
-        assert (
-            interference.DEFAULT_CONTENTION_COEFFICIENT
-            is DEFAULT_CONTENTION_COEFFICIENT
-        )
-
     @given(
         name=st.sampled_from(sorted(APPLICATIONS) + ["generic", "unknown"]),
         intensities=st.lists(
@@ -92,12 +69,11 @@ class TestRealrunParity:
         coeff=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     )
     def test_dilation_parity_bit_identical(self, name, intensities, coeff):
-        """Emulator-path and core-path dilations agree bit-for-bit."""
-        from repro.realrun.apps import get_application as emulator_lookup
-        from repro.realrun.interference import co_run_slowdown as emulator_slowdown
+        """The emulator's co_run_slowdown and ContentionModel.slowdown agree
+        bit-for-bit."""
+        from repro.core.profiles import get_application
 
-        app = emulator_lookup(name)
-        emulated = emulator_slowdown(app, intensities, coeff)
+        emulated = co_run_slowdown(get_application(name), intensities, coeff)
         promoted = ContentionModel(contention_coefficient=coeff).slowdown(
             lookup_application(name), intensities
         )

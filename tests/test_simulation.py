@@ -208,6 +208,26 @@ class TestEnergyAccounting:
 
         assert run(2000.0) > run(1000.0)
 
+    def test_power_model_without_wattages_rejected(self):
+        """A model exposing only ``power(cluster)`` used to be accepted and
+        silently charged 0 J; it is now rejected at construction."""
+
+        class PowerOnly:
+            def power(self, cluster):
+                return 1000.0
+
+        with pytest.raises(TypeError, match="LinearPowerModel"):
+            _sim(power_model=PowerOnly())
+
+    def test_custom_wattages_integrated(self):
+        from repro.metrics.energy import LinearPowerModel
+
+        cluster = Cluster(num_nodes=2, sockets=2, cores_per_socket=4)
+        sim = Simulation(cluster, FCFSScheduler(),
+                         power_model=LinearPowerModel(idle_watts=10.0, peak_watts=50.0))
+        sim.submit_jobs([make_job(job_id=1, nodes=1, runtime=100.0, req_time=200.0)])
+        assert sim.run().energy_joules == 2 * 10.0 * 100.0 + (50.0 - 10.0) * 100.0
+
 
 class TestResultSummary:
     def test_result_counts_malleable_flags(self):

@@ -1,15 +1,16 @@
-"""Streaming metrics: bit-identity with the batch path, and retain_jobs mode."""
+"""Streaming metrics: bit-identity with the compute_metrics oracle, and retain_jobs mode."""
 
 from __future__ import annotations
 
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.runner import run_workload
 from repro.metrics.aggregates import WorkloadMetrics, compute_metrics
-from repro.metrics.streaming import ChunkedFloatBuffer, StreamingMetrics
+from repro.metrics.streaming import ChunkedArray, StreamingMetrics
 from repro.simulator.cluster import Cluster
 from repro.simulator.simulation import Simulation
 from repro.workloads.presets import build_workload
@@ -33,14 +34,14 @@ def assert_metrics_identical(a: WorkloadMetrics, b: WorkloadMetrics) -> None:
     assert a.energy_joules == b.energy_joules
 
 
-class TestChunkedFloatBuffer:
+class TestChunkedArray:
     def test_empty(self):
-        buf = ChunkedFloatBuffer()
+        buf = ChunkedArray()
         assert len(buf) == 0
         assert buf.as_array().shape == (0,)
 
     def test_preserves_append_order_across_chunks(self):
-        buf = ChunkedFloatBuffer(min_chunk=4, max_chunk=8)
+        buf = ChunkedArray(min_chunk=4, max_chunk=8)
         values = [float(i) * 1.25 for i in range(50)]
         for v in values:
             buf.append(v)
@@ -48,7 +49,7 @@ class TestChunkedFloatBuffer:
         assert buf.as_array().tolist() == values
 
     def test_chunks_grow_then_cap(self):
-        buf = ChunkedFloatBuffer(min_chunk=2, max_chunk=4)
+        buf = ChunkedArray(min_chunk=2, max_chunk=4)
         for i in range(20):
             buf.append(float(i))
         # 2 + 4 + 4 + ... — no chunk beyond the cap.
@@ -56,15 +57,28 @@ class TestChunkedFloatBuffer:
         assert all(c.shape == (4,) for c in buf._chunks[1:])
 
     def test_nbytes_counts_allocation(self):
-        buf = ChunkedFloatBuffer(min_chunk=4, max_chunk=4)
+        buf = ChunkedArray(min_chunk=4, max_chunk=4)
         buf.append(1.0)
         assert buf.nbytes == 4 * 8  # headroom counts
 
     def test_rejects_bad_chunk_sizes(self):
         with pytest.raises(ValueError):
-            ChunkedFloatBuffer(min_chunk=0)
+            ChunkedArray(min_chunk=0)
         with pytest.raises(ValueError):
-            ChunkedFloatBuffer(min_chunk=8, max_chunk=4)
+            ChunkedArray(min_chunk=8, max_chunk=4)
+
+    def test_structured_rows_and_field_gather(self):
+        dtype = np.dtype([("a", np.float64), ("b", np.int32)])
+        buf = ChunkedArray(dtype, min_chunk=2, max_chunk=4)
+        rows = [(i * 0.5, i) for i in range(11)]
+        for row in rows:
+            buf.append(row)
+        assert buf.as_array().dtype == dtype
+        assert buf.as_array().tolist() == rows
+        column = buf["a"]
+        assert column.flags["C_CONTIGUOUS"]
+        assert column.tolist() == [a for a, _ in rows]
+        assert ChunkedArray(dtype)["b"].dtype == np.int32
 
 
 class TestStreamingFold:
@@ -127,8 +141,9 @@ PRESET_SCALES = {1: 0.01, 2: 0.01, 3: 0.01, 4: 0.005, 5: 0.05}
 class TestStreamingSimulationParity:
     @pytest.mark.parametrize("workload_id", sorted(PRESET_SCALES))
     def test_streaming_matches_batch_on_preset(self, workload_id):
-        """The tentpole acceptance pin: both paths agree bit-for-bit on every
-        workload preset, aggregates and result fields alike."""
+        """Streamed and retained runs agree bit-for-bit on every workload
+        preset, aggregates and result fields alike, and the streamed metrics
+        equal compute_metrics over the retained jobs."""
         workload = build_workload(workload_id, scale=PRESET_SCALES[workload_id])
         kwargs = dict(
             policy="sd_policy",
@@ -138,6 +153,14 @@ class TestStreamingSimulationParity:
         )
         retained = run_workload(workload, retain_jobs=True, **kwargs)
         streamed = run_workload(workload, retain_jobs=False, **kwargs)
+        # Both modes take their metrics from the streaming fold; the
+        # Job-object oracle over the retained jobs must agree with it.
+        oracle = compute_metrics(
+            retained.jobs,
+            energy_joules=retained.result.energy_joules,
+            first_submit=retained.result.first_submit,
+        )
+        assert_metrics_identical(oracle, streamed.metrics)
         assert_metrics_identical(retained.metrics, streamed.metrics)
         r, s = retained.result, streamed.result
         assert r.num_jobs == s.num_jobs > 0
