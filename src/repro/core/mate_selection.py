@@ -24,16 +24,35 @@ Options supported by the paper's implementation and reproduced here:
 including free nodes in the guest's allocation to reduce fragmentation, and
 allowing a single larger mate to be used partially (``allow_partial_mates``,
 off by default because it violates constraint 3's balance argument).
+
+SD-Policy asks for mates once per queued malleable job on every scheduling
+pass, and most asks fail, so two parts of the heuristic are incremental or
+output-sensitive:
+
+* **The mate pool.**  The eligibility tests that do not depend on the guest
+  or the clock (running, malleable, not itself a guest, no shared node) are
+  applied once per allocation change: the pool of survivors, with each one's
+  requested end, queue wait and reference time, is rebuilt lazily on the
+  first request after :attr:`Simulation.allocation_version` moves.  A
+  request then only compares ends against ``now + guest_runtime`` and
+  evaluates Eq. 4, in ``sim.running`` order as before.  The pool is rebuilt
+  lazily rather than updated on events because SD-Policy extends a mate's
+  requested time *after* reconfiguring it.
+* **The combination search** visits only the combinations whose node
+  counts sum exactly to the target (the pairs through a weight-to-index
+  lookup), in the lexicographic order :func:`itertools.combinations` would
+  visit them, so the first minimum-PI combination found is the same.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.penalties import MaxSlowdownCutoff, mate_penalty
+from repro.core.penalties import MaxSlowdownCutoff, shrunk_slowdown
 from repro.core.runtime_model import RuntimeModel, WorstCaseRuntimeModel
 from repro.core.sharing import plan_node_sharing
 from repro.simulator.job import Job, JobState
@@ -146,6 +165,15 @@ class MateSelector:
         #: most recent :meth:`candidate_mates` call (0 on the default path);
         #: schedulers read it to type their ``mate_rejected`` trace events.
         self.bandwidth_rejections = 0
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the mate pool (a scheduler calls this when bound to a run)."""
+        # The pool's simulation is held weakly: the simulation holds the
+        # scheduler, which holds this selector, and a strong reference back
+        # would keep every finished simulation alive until a cyclic GC pass.
+        self._pool_key: Tuple[Optional["weakref.ref[Simulation]"], int] = (None, -1)
+        self._pool: List[Tuple[Job, float, float, float, int]] = []
 
     # ------------------------------------------------------------------ #
     # Guest-side estimates
@@ -166,27 +194,37 @@ class MateSelector:
     # ------------------------------------------------------------------ #
     # Candidate construction
     # ------------------------------------------------------------------ #
-    def _is_eligible(self, sim: "Simulation", mate: Job, guest: Job, guest_runtime: float) -> bool:
-        if mate.state is not JobState.RUNNING or mate.start_time is None:
-            return False
-        if not mate.malleable:
-            return False
-        if mate.job_id == guest.job_id:
-            return False
-        # A job that was itself co-scheduled as a guest, or that already
-        # hosts a guest, is not shrunk further (one guest per node set).
-        if mate.guest_of:
-            return False
-        for nid in mate.allocated_nodes:
-            if sim.cluster.node(nid).is_shared:
-                return False
-        # The guest must finish (by its worst-case estimate) inside the
-        # mate's remaining requested allocation.
-        ref_time = mate.requested_time if self.use_requested_time else mate.static_runtime
-        mate_end = mate.start_time + ref_time
-        if mate_end < sim.now + guest_runtime:
-            return False
-        return True
+    def _mate_pool(self, sim: "Simulation") -> List[Tuple[Job, float, float, float, int]]:
+        """``(job, end, wait, reference time, nodes)`` of every possible mate.
+
+        Holds the running jobs, in ``sim.running`` order, that pass the
+        eligibility tests independent of the guest and of the clock.  A job
+        that was itself co-scheduled as a guest, or that already hosts a
+        guest (a shared node), is not shrunk further (one guest per node
+        set).  Rebuilt when the simulation or its allocation version changes.
+        """
+        version = sim.allocation_version
+        owner, pool_version = self._pool_key
+        if owner is None or owner() is not sim or pool_version != version:
+            use_requested_time = self.use_requested_time
+            node = sim.cluster.node
+            pool = []
+            for mate in sim.running.values():
+                start = mate.start_time
+                if (
+                    mate.state is not JobState.RUNNING
+                    or start is None
+                    or not mate.malleable
+                    or mate.guest_of
+                    or any(node(nid).is_shared for nid in mate.allocated_nodes)
+                ):
+                    continue
+                ref = mate.requested_time if use_requested_time else mate.static_runtime
+                pool.append(
+                    (mate, start + ref, start - mate.submit_time, ref, len(mate.allocated_nodes))
+                )
+            self._pool, self._pool_key = pool, (weakref.ref(sim), version)
+        return self._pool
 
     def candidate_mates(
         self,
@@ -196,12 +234,20 @@ class MateSelector:
     ) -> List[MateCandidate]:
         """Build, filter and sort the list of candidate mates for a guest."""
         guest_runtime = self.estimated_guest_runtime(guest)
-        kept_fraction = 1.0 - self.sharing_factor
         candidates: List[MateCandidate] = []
         trace = getattr(sim, "trace", None)
         self.bandwidth_rejections = 0
-        for mate in sim.running.values():
-            if not self._is_eligible(sim, mate, guest, guest_runtime):
+        pool = self._mate_pool(sim)
+        if not pool:
+            return candidates
+        # The guest must finish (by its worst-case estimate) inside the
+        # mate's remaining requested allocation.
+        must_end_after = sim.now + guest_runtime
+        increase = self.estimation_model.mate_increase(
+            guest_runtime, 1.0 - self.sharing_factor
+        )
+        for mate, end, wait, ref, weight in pool:
+            if end < must_end_after or mate.job_id == guest.job_id:
                 continue
             if self.contention is not None and not self.contention.allows_pairing(
                 mate, guest
@@ -210,8 +256,7 @@ class MateSelector:
                 # node's memory bandwidth regardless of the CPU split.
                 self.bandwidth_rejections += 1
                 continue
-            increase = self.estimation_model.mate_increase(guest_runtime, kept_fraction)
-            penalty = mate_penalty(mate, increase, self.use_requested_time)
+            penalty = shrunk_slowdown(wait, increase, ref)
             admitted = cutoff.admits(penalty)
             if trace is not None:
                 # Eligibility failures stay silent (noise); every slowdown
@@ -224,10 +269,7 @@ class MateSelector:
                     penalty=penalty,
                     admitted=admitted,
                 )
-            if not admitted:
-                continue
-            weight = len(mate.allocated_nodes)
-            if weight <= 0:
+            if not admitted or weight <= 0:
                 continue
             candidates.append(MateCandidate(job=mate, penalty=penalty, weight=weight))
         if self.contention is None:
@@ -263,23 +305,22 @@ class MateSelector:
         """
         best: Optional[Tuple[List[MateCandidate], int]] = None
         best_pi = math.inf
-        n = len(candidates)
-        max_r = min(self.max_mates, n)
-        for r in range(1, max_r + 1):
-            for combo in itertools.combinations(range(n), r):
+        # r = 1: an exact match, or (partial mates) a larger single mate.
+        for candidate in candidates:
+            surplus = candidate.weight - nodes_needed
+            if surplus == 0 or (surplus > 0 and self.allow_partial_mates):
+                if candidate.penalty < best_pi:
+                    best, best_pi = ([candidate], surplus), candidate.penalty
+        weights = [c.weight for c in candidates]
+        by_weight: Dict[int, List[int]] = {}
+        for index, weight in enumerate(weights):
+            by_weight.setdefault(weight, []).append(index)
+        for r in range(2, min(self.max_mates, len(candidates)) + 1):
+            for combo in _exact_combinations(weights, by_weight, nodes_needed, r, 0):
                 picks = [candidates[i] for i in combo]
-                total_nodes = sum(c.weight for c in picks)
                 pi = sum(c.penalty for c in picks)
-                if pi >= best_pi:
-                    continue
-                if total_nodes == nodes_needed:
+                if pi < best_pi:
                     best, best_pi = (picks, 0), pi
-                elif (
-                    self.allow_partial_mates
-                    and r == 1
-                    and total_nodes > nodes_needed
-                ):
-                    best, best_pi = (picks, total_nodes - nodes_needed), pi
         return best
 
     def _build_plan(
@@ -365,3 +406,29 @@ class MateSelector:
             if plan is not None:
                 return plan
         return None
+
+
+def _exact_combinations(
+    weights: Sequence[int],
+    by_weight: Dict[int, List[int]],
+    target: int,
+    r: int,
+    first: int,
+) -> Iterator[Tuple[int, ...]]:
+    """Index tuples of ``r >= 2`` candidates from ``first`` on weighing ``target``.
+
+    Yields exactly the tuples of :func:`itertools.combinations` whose
+    weights sum to ``target``, in the same (lexicographic) order; the last
+    index of each tuple is looked up in ``by_weight`` (weight -> increasing
+    candidate indices) instead of enumerated.
+    """
+    for i in range(first, len(weights) - r + 1):
+        rest = target - weights[i]
+        if r == 2:
+            later = by_weight.get(rest)
+            if later:
+                for k in later[bisect_right(later, i):]:
+                    yield (i, k)
+        else:
+            for tail in _exact_combinations(weights, by_weight, rest, r - 1, i + 1):
+                yield (i,) + tail

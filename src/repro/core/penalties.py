@@ -73,7 +73,16 @@ def mate_penalty(
         raise ValueError("increase must be non-negative")
     wait = mate.start_time - mate.submit_time
     req = mate.requested_time if use_requested_time else mate.static_runtime
-    return (wait + increase + req) / req
+    return shrunk_slowdown(wait, increase, req)
+
+
+def shrunk_slowdown(wait: float, increase: float, reference: float) -> float:
+    """Eq. 4 on its terms: queue wait, runtime increase and reference time.
+
+    :func:`mate_penalty` of a job; the mate selector calls it directly on
+    the terms it keeps pooled per running job.
+    """
+    return (wait + increase + reference) / reference
 
 
 class MaxSlowdownCutoff(abc.ABC):

@@ -131,8 +131,10 @@ class SDPolicyScheduler(BackfillScheduler):
         self.malleable_starts = 0
         self.rejected_by_estimate = 0
         self.rejected_no_mates = 0
-        # Rebuild the cut-off so dynamic state never leaks across runs.
+        # Rebuild the cut-off and drop the mate pool so no state leaks
+        # across runs.
         self.cutoff = self.config.build_cutoff()
+        self.selector.reset()
 
     def on_pass_start(self, sim: "Simulation") -> None:
         # The paper refreshes the dynamic cut-off whenever the controller is

@@ -12,7 +12,10 @@ remembers the newest validity token pushed per payload, so stale end events
 are dropped at the heap boundary instead of surfacing into the simulation's
 per-instant batches.  On malleable-heavy runs every reconfiguration leaves
 one stale end event behind, so this keeps batch collection and sorting
-proportional to the *live* event count.
+proportional to the *live* event count.  A payload that will push no more
+end events (a completed job) is *retired*, and its record is dropped once
+its last end event leaves the heap, so the bookkeeping stays proportional
+to the payloads in flight rather than to every payload a run has seen.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 
 class EventType(enum.IntEnum):
@@ -77,6 +80,10 @@ class EventQueue:
         # popped (e.g. reconfigured while its old event sits in the current
         # batch) does not count phantom stale events.
         self._end_counts: Dict[Tuple[Any, int], int] = {}
+        # payload -> number of its JOB_END events (any token) in the heap.
+        self._end_queued: Dict[Any, int] = {}
+        # Retired payloads whose superseded end events are still queued.
+        self._retired: Set[Any] = set()
         # Number of superseded JOB_END events still sitting in the heap.
         self._stale = 0
 
@@ -97,12 +104,33 @@ class EventQueue:
         """Bookkeeping for a JOB_END event leaving the heap."""
         if event.event_type is not EventType.JOB_END:
             return
-        key = (event.payload, event.validity_token)
+        payload = event.payload
+        key = (payload, event.validity_token)
         remaining = self._end_counts.get(key, 0) - 1
         if remaining > 0:
             self._end_counts[key] = remaining
         else:
             self._end_counts.pop(key, None)
+        queued = self._end_queued.get(payload, 0) - 1
+        if queued > 0:
+            self._end_queued[payload] = queued
+        else:
+            self._end_queued.pop(payload, None)
+            if payload in self._retired:
+                self._retired.discard(payload)
+                self._end_tokens.pop(payload, None)
+
+    def retire(self, payload: Any) -> None:
+        """Promise that no further ``JOB_END`` event is pushed for ``payload``.
+
+        Its newest-token record is dropped now, or when its last queued
+        (superseded) end event leaves the heap.  The simulation retires
+        every job as it completes.
+        """
+        if payload in self._end_queued:
+            self._retired.add(payload)
+        else:
+            self._end_tokens.pop(payload, None)
 
     def _discard_stale(self) -> None:
         heap = self._heap
@@ -142,6 +170,7 @@ class EventQueue:
                 self._stale += 1
             key = (payload, validity_token)
             self._end_counts[key] = self._end_counts.get(key, 0) + 1
+            self._end_queued[payload] = self._end_queued.get(payload, 0) + 1
         heapq.heappush(self._heap, event)
         return event
 

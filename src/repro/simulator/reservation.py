@@ -13,18 +13,19 @@ The scheduler needs two forward-looking quantities:
 
 Both are answered by :class:`ReservationMap`, a step-function profile of
 free-node counts over future time built from the running jobs plus any
-explicit reservations added during a backfill pass.  The profile arithmetic
-is vectorised with NumPy because ``earliest_start`` sits on the simulator's
-hottest path (it runs once per examined job per scheduling pass).
+explicit reservations added during a backfill pass.  ``earliest_start``
+sits on the simulator's hottest path (once per examined job per scheduling
+pass, with a reservation added after most of them), so the step function is
+kept as two parallel lists updated in place: each release or reservation
+inserts its breakpoints and adds its node count over the affected range,
+instead of rebuilding the profile from its change list.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
-from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.simulator.job import Job, JobState
 
@@ -56,12 +57,26 @@ class ReservationMap:
             raise ValueError(f"free_now={free_now} out of range 0..{total_nodes}")
         self.total_nodes = total_nodes
         self.now = now
-        # Sorted list of (time, delta_free_nodes) change points.
-        self._changes: List[Tuple[float, int]] = []
-        self._free_now = free_now
-        self._cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        merged: Dict[float, int] = {}
         for time, nodes in releases:
-            self.add_release(time, nodes)
+            if nodes > 0:
+                time = float(max(time, now))
+                merged[time] = merged.get(time, 0) + nodes
+        # Breakpoint times (unique, increasing, the first one ``now``) and
+        # the free-node count from each breakpoint to the next.  The counts
+        # are *unclipped* cumulative sums — over-capacity releases or
+        # overlapping reservations may push them outside ``0..total_nodes``
+        # — and are clipped only when read.
+        self._times: List[float] = [float(now)]
+        self._free: List[int] = [free_now]
+        free = free_now
+        for time in sorted(merged):
+            free += merged[time]
+            if time == self._times[-1]:
+                self._free[-1] = free
+            else:
+                self._times.append(time)
+                self._free.append(free)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -97,71 +112,68 @@ class ReservationMap:
 
     # ------------------------------------------------------------------ #
     def copy(self) -> "ReservationMap":
-        """Cheap copy sharing the (immutable) step-function arrays.
+        """Independent copy (the breakpoint lists are copied).
 
         The simulation driver caches the base profile built from the running
         jobs and hands each scheduling pass a copy, so the pass can add its
-        own reservations without corrupting the cache.  Mutators rebind
-        ``_cache`` rather than mutating the arrays, so sharing is safe.
+        own reservations without corrupting the cache.
         """
         clone = ReservationMap.__new__(ReservationMap)
         clone.total_nodes = self.total_nodes
         clone.now = self.now
-        clone._changes = list(self._changes)
-        clone._free_now = self._free_now
-        clone._cache = self._cache
+        clone._times = list(self._times)
+        clone._free = list(self._free)
         return clone
+
+    def _breakpoint(self, time: float) -> int:
+        """Index of the breakpoint at ``time`` (``>= now``), inserted if absent.
+
+        A new breakpoint carries the count in force just before it.
+        """
+        times = self._times
+        i = bisect_left(times, time)
+        if i == len(times) or times[i] != time:
+            times.insert(i, time)
+            self._free.insert(i, self._free[i - 1])
+        return i
+
+    def _add(self, start: int, stop: int, nodes: int) -> None:
+        """Add ``nodes`` to the counts of breakpoints ``start..stop-1``."""
+        free = self._free
+        for k in range(start, stop):
+            free[k] += nodes
 
     def add_release(self, time: float, nodes: int) -> None:
         """Record that ``nodes`` nodes become free at ``time``."""
         if nodes <= 0:
             return
-        insort(self._changes, (max(time, self.now), nodes))
-        self._cache = None
+        self._add(self._breakpoint(float(max(time, self.now))), len(self._free), nodes)
 
     def add_reservation(self, start: float, duration: float, nodes: int) -> None:
         """Reserve ``nodes`` nodes in ``[start, start+duration)``.
 
         Used during a backfill pass to account for jobs the current pass has
         already decided to start (or reserved a future slot for), so later
-        candidates in the same pass see a consistent picture.
+        candidates in the same pass see a consistent picture.  An infinite
+        ``duration`` holds the nodes for ever.
         """
         if nodes <= 0:
             return
-        start = max(start, self.now)
-        insort(self._changes, (start, -nodes))
+        if duration < 0:
+            raise ValueError(f"reservation duration {duration} is negative")
+        start = float(max(start, self.now))
+        i = self._breakpoint(start)
         if math.isfinite(duration):
-            insort(self._changes, (start + duration, nodes))
-        self._cache = None
+            stop = self._breakpoint(start + duration)
+        else:
+            stop = len(self._free)
+        self._add(i, stop, -nodes)
 
     # ------------------------------------------------------------------ #
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, free_nodes) arrays of the step function, first point = now."""
-        if self._cache is None:
-            if self._changes:
-                times = np.fromiter((t for t, _ in self._changes), dtype=float,
-                                    count=len(self._changes))
-                deltas = np.fromiter((d for _, d in self._changes), dtype=float,
-                                     count=len(self._changes))
-                free = np.clip(self._free_now + np.cumsum(deltas), 0, self.total_nodes)
-                times = np.concatenate(([self.now], times))
-                free = np.concatenate(([float(self._free_now)], free))
-                # Collapse duplicate timestamps (keep the last value at a time).
-                keep = np.ones(len(times), dtype=bool)
-                keep[:-1] = times[1:] != times[:-1]
-                times, free = times[keep], free[keep]
-            else:
-                times = np.array([self.now])
-                free = np.array([float(self._free_now)])
-            self._cache = (times, free)
-        return self._cache
-
     def free_nodes_at(self, time: float) -> int:
         """Free-node count at a given future time (according to the profile)."""
-        times, free = self._arrays()
-        idx = int(np.searchsorted(times, time, side="right")) - 1
-        idx = max(0, idx)
-        return int(free[idx])
+        idx = max(0, bisect_right(self._times, time) - 1)
+        return min(max(self._free[idx], 0), self.total_nodes)
 
     def profile(self) -> List[Tuple[float, int]]:
         """The availability step function as ``[(time, free_nodes), ...]``.
@@ -169,8 +181,8 @@ class ReservationMap:
         The first entry is at :attr:`now`; subsequent entries are change
         points in increasing time order.
         """
-        times, free = self._arrays()
-        return [(float(t), int(f)) for t, f in zip(times, free)]
+        total = self.total_nodes
+        return [(t, min(max(f, 0), total)) for t, f in zip(self._times, self._free)]
 
     def earliest_start(self, nodes_needed: int, duration: Optional[float] = None) -> float:
         """Earliest time at which ``nodes_needed`` nodes are simultaneously free.
@@ -180,35 +192,33 @@ class ReservationMap:
         temporarily take nodes away).  Returns ``math.inf`` when the request
         can never be satisfied (more nodes than the cluster has, or the
         profile never frees enough).
+
+        Only the first breakpoint of a run of breakpoints offering enough
+        nodes can be the answer: a later start inside the same run meets
+        every shortfall the run's first start meets.  For
+        ``0 < nodes_needed <= total_nodes`` comparing the unclipped counts
+        gives the same answer as comparing clipped ones.
         """
         if nodes_needed > self.total_nodes:
             return math.inf
         if nodes_needed <= 0:
             return self.now
-        times, free = self._arrays()
-        n = len(times)
-        ok = free >= nodes_needed
+        times, free = self._times, self._free
         if duration is None or not math.isfinite(duration):
-            hits = np.flatnonzero(ok)
-            return float(times[hits[0]]) if hits.size else math.inf
-        idx = 0
-        while idx < n:
-            if not ok[idx]:
-                idx += 1
-                continue
-            end = times[idx] + duration
-            j = int(np.searchsorted(times, end, side="left"))
-            bad = np.flatnonzero(~ok[idx:j])
-            if bad.size == 0:
-                return float(times[idx])
-            # Every start up to the last violation also fails; jump past it.
-            idx = idx + int(bad[-1]) + 1
-        return math.inf
-
-    def estimate_wait(self, job: Job, duration: Optional[float] = None) -> float:
-        """Estimated queue wait for the job (0 if it could start now)."""
-        dur = duration if duration is not None else job.requested_time
-        start = self.earliest_start(job.requested_nodes, dur)
-        if not math.isfinite(start):
+            for time, count in zip(times, free):
+                if count >= nodes_needed:
+                    return time
             return math.inf
-        return max(0.0, start - self.now)
+        last = len(times) - 1
+        start: Optional[float] = None
+        end = 0.0
+        for k in range(last + 1):
+            if free[k] < nodes_needed:
+                start = None
+                continue
+            if start is None:
+                start = times[k]
+                end = start + duration
+            if k == last or times[k + 1] >= end:
+                return start
+        return math.inf

@@ -109,6 +109,26 @@ class TestEndEventDedup:
         assert [e.payload for e in q.drain()] == [1, 2]
 
 
+class TestRetire:
+    def test_retired_payload_without_queued_events_is_forgotten(self):
+        q = EventQueue()
+        q.push(1.0, EventType.JOB_END, payload=1, validity_token=2)
+        q.pop()
+        q.retire(1)
+        assert q._end_tokens == {}
+
+    def test_superseded_event_stays_stale_until_it_leaves(self):
+        q = EventQueue()
+        q.push(9.0, EventType.JOB_END, payload=1, validity_token=0)
+        q.push(4.0, EventType.JOB_END, payload=1, validity_token=1)  # supersedes
+        assert q.pop().validity_token == 1
+        q.retire(1)
+        # The queued token-0 event must still read as stale.
+        assert not q and len(q) == 0
+        assert q.pop_batch() == []
+        assert q._end_tokens == {} and q._end_queued == {} and q._retired == set()
+
+
 class TestPopBatch:
     def test_empty_queue_returns_empty_batch(self):
         assert EventQueue().pop_batch() == []
@@ -196,6 +216,10 @@ class TestStaleAccountingProperties:
             assert q._stale == len(q._heap) - live
             assert q._stale >= 0
             assert _heap_end_counts(q) == q._end_counts
+            queued: dict = {}
+            for (payload, _), count in q._end_counts.items():
+                queued[payload] = queued.get(payload, 0) + count
+            assert queued == q._end_queued
 
     @given(ops=_ops)
     @settings(max_examples=120, suppress_health_check=[HealthCheck.filter_too_much])

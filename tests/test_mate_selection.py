@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 
 from repro.core.mate_selection import MateSelector
 from repro.core.penalties import StaticMaxSlowdown
+from repro.core.sd_policy import SDPolicyScheduler
 from repro.schedulers.fcfs import FCFSScheduler
 from repro.simulator.cluster import Cluster
 from repro.simulator.simulation import Simulation
@@ -204,3 +207,61 @@ class TestSelection:
             MateSelector(max_mates=0)
         with pytest.raises(ValueError):
             MateSelector(max_candidates=0)
+
+
+class TestMatePool:
+    """The pool of possible mates is rebuilt per simulation and allocation."""
+
+    def test_pool_is_keyed_on_the_simulation(self):
+        first, second = build_sim(), build_sim()
+        add_running(first, 1, nodes=1)
+        add_running(second, 2, nodes=1)
+        assert first.allocation_version == second.allocation_version
+        guests = {1: pending_guest(first), 2: pending_guest(second)}
+        selector = MateSelector()
+        for sim, mate_id in ((first, 1), (second, 2), (first, 1)):
+            candidates = selector.candidate_mates(sim, guests[mate_id], ADMIT_ALL)
+            assert [c.job.job_id for c in candidates] == [mate_id]
+
+    def test_scheduler_reused_across_simulations(self):
+        scheduler = SDPolicyScheduler()
+        first = Simulation(Cluster(num_nodes=4, sockets=2, cores_per_socket=4), scheduler)
+        add_running(first, 1, nodes=1)
+        guest = pending_guest(first)
+        candidates = scheduler.selector.candidate_mates(first, guest, ADMIT_ALL)
+        assert [c.job.job_id for c in candidates] == [1]
+        version = first.allocation_version
+
+        second = Simulation(Cluster(num_nodes=4, sockets=2, cores_per_socket=4), scheduler)
+        add_running(second, 2, nodes=1)
+        assert second.allocation_version == version
+        guest = pending_guest(second)
+        candidates = scheduler.selector.candidate_mates(second, guest, ADMIT_ALL)
+        assert [c.job.job_id for c in candidates] == [2]
+
+    def test_pool_does_not_keep_its_simulation_alive(self):
+        # The simulation holds the scheduler, which holds the selector: the
+        # pool must not close that cycle, or every finished simulation would
+        # wait for a cyclic garbage collection to be freed.
+        scheduler = SDPolicyScheduler()
+        sim = Simulation(Cluster(num_nodes=4, sockets=2, cores_per_socket=4), scheduler)
+        add_running(sim, 1, nodes=1)
+        assert scheduler.selector.candidate_mates(sim, pending_guest(sim), ADMIT_ALL)
+        watcher = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert watcher() is None
+        finally:
+            gc.enable()
+
+    def test_pool_follows_the_allocation_version(self):
+        sim = build_sim()
+        mate = add_running(sim, 1, nodes=1, req_time=100.0)  # too short to host
+        guest = pending_guest(sim, req_time=500.0)
+        selector = MateSelector()
+        assert selector.candidate_mates(sim, guest, ADMIT_ALL) == []
+        # SD-Policy extends a mate's requested time, then changes allocations.
+        mate.requested_time = 10000.0
+        sim.reconfigure_job(mate, dict(mate.assigned_cpus))
+        assert [c.job.job_id for c in selector.candidate_mates(sim, guest, ADMIT_ALL)] == [1]

@@ -72,6 +72,11 @@ class TestReservations:
         profile.add_reservation(10.0, 10.0, 0)
         assert profile.earliest_start(4) == 0.0
 
+    def test_negative_duration_rejected(self):
+        profile = ReservationMap(total_nodes=4, now=0.0, free_now=4)
+        with pytest.raises(ValueError, match="negative"):
+            profile.add_reservation(10.0, -1.0, 2)
+
     def test_profile_points_sorted(self):
         profile = ReservationMap(total_nodes=8, now=0.0, free_now=3,
                                  releases=[(50.0, 2), (20.0, 3)])
@@ -104,14 +109,6 @@ class TestFromRunningJobs:
         )
         # Actual runtime is 50s (half the request).
         assert profile.earliest_start(4) == 50.0
-
-    def test_estimate_wait(self):
-        job = self._running_job(1, start=0.0, req_time=100.0, nodes=4)
-        profile = ReservationMap.from_running_jobs(
-            total_nodes=4, now=10.0, free_now=0, running_jobs=[job]
-        )
-        waiting = make_job(job_id=2, nodes=2, req_time=50.0)
-        assert profile.estimate_wait(waiting) == pytest.approx(90.0)
 
     def test_pending_job_ignored(self):
         pending = make_job(job_id=3, nodes=2)

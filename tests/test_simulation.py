@@ -179,6 +179,9 @@ class TestAllocationPrimitives:
         assert result.jobs[0].end_time == pytest.approx(100.0)
         # The completed-job list must not contain duplicates.
         assert len({j.job_id for j in result.jobs}) == 1
+        # The completed job was retired from the event queue: once its
+        # superseded end event (at 200) left the heap, nothing of it remains.
+        assert sim.events._end_tokens == {} and sim.events._retired == set()
 
 
 class TestEnergyAccounting:
