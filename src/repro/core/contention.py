@@ -25,7 +25,8 @@ from typing import Dict, Iterable, Mapping, Optional
 from repro.core.profiles import (
     ApplicationModel,
     get_profile_set,
-    lookup_application,
+    lookup_indexed,
+    profile_index,
 )
 from repro.core.runtime_model import RuntimeModel
 from repro.simulator.cluster import Cluster
@@ -88,12 +89,12 @@ class ContentionModel:
         self.contention_coefficient = float(contention_coefficient)
         self.node_bandwidth_capacity = float(node_bandwidth_capacity)
         self.profiles = profiles
-        self._profile_set = get_profile_set(profiles)
+        self._profile_index = profile_index(get_profile_set(profiles))
 
     # ------------------------------------------------------------------ #
     def application(self, name: Optional[str]) -> ApplicationModel:
         """Profile of an application label under the configured set."""
-        return lookup_application(name, self._profile_set)
+        return lookup_indexed(self._profile_index, name)
 
     def bandwidth_demand(self, app: ApplicationModel) -> float:
         """Bandwidth demand of one application, in units of node capacity 1.0."""

@@ -30,14 +30,16 @@ pass, and most asks fail, so two parts of the heuristic are incremental or
 output-sensitive:
 
 * **The mate pool.**  The eligibility tests that do not depend on the guest
-  or the clock (running, malleable, not itself a guest, no shared node) are
-  applied once per allocation change: the pool of survivors, with each one's
-  requested end, queue wait and reference time, is rebuilt lazily on the
-  first request after :attr:`Simulation.allocation_version` moves.  A
-  request then only compares ends against ``now + guest_runtime`` and
-  evaluates Eq. 4, in ``sim.running`` order as before.  The pool is rebuilt
-  lazily rather than updated on events because SD-Policy extends a mate's
-  requested time *after* reconfiguring it.
+  or the clock (running, malleable, not itself a guest, no shared node —
+  one :meth:`Cluster.shares_node` lookup) are applied once per allocation
+  change: the pool of survivors, with each one's requested end, queue wait
+  and reference time, is rebuilt on the first request after
+  :attr:`Simulation.allocation_version` moves, sorted by end.  A request
+  bisects the pool at ``now + guest_runtime`` and evaluates Eq. 4 only for
+  the mates that outlast the guest; the candidate list's total
+  ``(penalty, job id)`` order makes the scan order irrelevant, so the
+  survivors are put back into ``sim.running`` order only when a trace
+  records them.
 * **The combination search** visits only the combinations whose node
   counts sum exactly to the target (the pairs through a weight-to-index
   lookup), in the lexicographic order :func:`itertools.combinations` would
@@ -48,8 +50,9 @@ from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.penalties import MaxSlowdownCutoff, shrunk_slowdown
@@ -60,6 +63,11 @@ from repro.simulator.job import Job, JobState
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.contention import ContentionModel
     from repro.simulator.simulation import Simulation
+
+
+#: A mate-pool entry: ``(requested end, position in sim.running, job, queue
+#: wait, reference time, nodes)``.
+PoolEntry = Tuple[float, int, Job, float, float, int]
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,8 @@ class MateSelector:
         # scheduler, which holds this selector, and a strong reference back
         # would keep every finished simulation alive until a cyclic GC pass.
         self._pool_key: Tuple[Optional["weakref.ref[Simulation]"], int] = (None, -1)
-        self._pool: List[Tuple[Job, float, float, float, int]] = []
+        self._pool: List[PoolEntry] = []
+        self._pool_ends: List[float] = []
 
     # ------------------------------------------------------------------ #
     # Guest-side estimates
@@ -194,37 +203,48 @@ class MateSelector:
     # ------------------------------------------------------------------ #
     # Candidate construction
     # ------------------------------------------------------------------ #
-    def _mate_pool(self, sim: "Simulation") -> List[Tuple[Job, float, float, float, int]]:
-        """``(job, end, wait, reference time, nodes)`` of every possible mate.
+    def _mate_pool(self, sim: "Simulation") -> Tuple[List[PoolEntry], List[float]]:
+        """Every possible mate, sorted by requested end, and the sorted ends.
 
-        Holds the running jobs, in ``sim.running`` order, that pass the
-        eligibility tests independent of the guest and of the clock.  A job
-        that was itself co-scheduled as a guest, or that already hosts a
-        guest (a shared node), is not shrunk further (one guest per node
-        set).  Rebuilt when the simulation or its allocation version changes.
+        Holds the running jobs that pass the eligibility tests independent
+        of the guest and of the clock, as ``(end, running position, job,
+        wait, reference time, nodes)``; equal ends keep ``sim.running``
+        order.  A job that was itself co-scheduled as a guest, or that
+        already hosts a guest (a shared node), is not shrunk further (one
+        guest per node set).  Rebuilt when the simulation or its allocation
+        version changes.
         """
         version = sim.allocation_version
         owner, pool_version = self._pool_key
         if owner is None or owner() is not sim or pool_version != version:
             use_requested_time = self.use_requested_time
-            node = sim.cluster.node
+            shares_node = sim.cluster.shares_node
             pool = []
-            for mate in sim.running.values():
+            for position, mate in enumerate(sim.running.values()):
                 start = mate.start_time
                 if (
                     mate.state is not JobState.RUNNING
                     or start is None
                     or not mate.malleable
                     or mate.guest_of
-                    or any(node(nid).is_shared for nid in mate.allocated_nodes)
+                    or shares_node(mate.job_id)
                 ):
                     continue
                 ref = mate.requested_time if use_requested_time else mate.static_runtime
                 pool.append(
-                    (mate, start + ref, start - mate.submit_time, ref, len(mate.allocated_nodes))
+                    (
+                        start + ref,
+                        position,
+                        mate,
+                        start - mate.submit_time,
+                        ref,
+                        len(mate.allocated_nodes),
+                    )
                 )
+            pool.sort(key=itemgetter(0))
             self._pool, self._pool_key = pool, (weakref.ref(sim), version)
-        return self._pool
+            self._pool_ends = [entry[0] for entry in pool]
+        return self._pool, self._pool_ends
 
     def candidate_mates(
         self,
@@ -237,17 +257,19 @@ class MateSelector:
         candidates: List[MateCandidate] = []
         trace = getattr(sim, "trace", None)
         self.bandwidth_rejections = 0
-        pool = self._mate_pool(sim)
-        if not pool:
-            return candidates
+        pool, ends = self._mate_pool(sim)
         # The guest must finish (by its worst-case estimate) inside the
         # mate's remaining requested allocation.
-        must_end_after = sim.now + guest_runtime
+        outlasting = pool[bisect_left(ends, sim.now + guest_runtime):]
+        if not outlasting:
+            return candidates
+        if trace is not None:
+            outlasting.sort(key=itemgetter(1))  # the events list running order
         increase = self.estimation_model.mate_increase(
             guest_runtime, 1.0 - self.sharing_factor
         )
-        for mate, end, wait, ref, weight in pool:
-            if end < must_end_after or mate.job_id == guest.job_id:
+        for _, _, mate, wait, ref, weight in outlasting:
+            if mate.job_id == guest.job_id:
                 continue
             if self.contention is not None and not self.contention.allows_pairing(
                 mate, guest

@@ -132,18 +132,41 @@ def get_profile_set(name: str) -> Mapping[str, ApplicationModel]:
         ) from None
 
 
+def profile_index(profile_set: Mapping[str, ApplicationModel]) -> Dict[str, ApplicationModel]:
+    """A profile set keyed by lower-cased name, for :func:`lookup_indexed`.
+
+    When several keys of the set differ only in case, the first one in the
+    set's order wins.  Build it once per set: a lookup is then one dict
+    access instead of a scan of the set.
+    """
+    index: Dict[str, ApplicationModel] = {}
+    for key, model in profile_set.items():
+        index.setdefault(key.lower(), model)
+    return index
+
+
+def lookup_indexed(index: Mapping[str, ApplicationModel], name: Optional[str]) -> ApplicationModel:
+    """Look up an application in a :func:`profile_index` (with default)."""
+    if name is None:
+        return DEFAULT_APPLICATION
+    return index.get(name.lower(), DEFAULT_APPLICATION)
+
+
+_APPLICATIONS_INDEX = profile_index(APPLICATIONS)
+
+
 def lookup_application(
     name: Optional[str],
     profile_set: Optional[Mapping[str, ApplicationModel]] = None,
 ) -> ApplicationModel:
-    """Look up an application profile in a set (case-insensitive, defaulting)."""
-    if name is None:
-        return DEFAULT_APPLICATION
-    table = APPLICATIONS if profile_set is None else profile_set
-    for key, model in table.items():
-        if key.lower() == name.lower():
-            return model
-    return DEFAULT_APPLICATION
+    """Look up an application profile in a set (case-insensitive, defaulting).
+
+    When several keys of the set differ only in case, the first one in the
+    set's order wins.
+    """
+    if profile_set is None:
+        return lookup_indexed(_APPLICATIONS_INDEX, name)
+    return lookup_indexed(profile_index(profile_set), name)
 
 
 def get_application(name: Optional[str]) -> ApplicationModel:

@@ -264,7 +264,7 @@ class SDPolicyScheduler(BackfillScheduler):
         self.cutoff.update(sim)
         profile = sim.availability_profile()
         est_start = profile.earliest_start(job.requested_nodes, job.requested_time)
-        work_ahead = self.running_requested_work(sim)
+        work_ahead = sim.running_requested_work()
         for other in sim.pending.ordered():
             if other.job_id != job.job_id:
                 work_ahead += other.requested_cpus * other.requested_time
@@ -283,8 +283,10 @@ class SDPolicyScheduler(BackfillScheduler):
             selection.estimated_guest_runtime, kept_fraction
         )
         for mate in selection.mates:
-            sim.reconfigure_job(mate, selection.mate_new_cpus[mate.job_id])
+            # Extended before the reconfiguration, which re-reads it into
+            # the simulation's running-set index.
             mate.requested_time += mate_increase
+            sim.reconfigure_job(mate, selection.mate_new_cpus[mate.job_id])
         guest.requested_time = max(guest.requested_time, selection.estimated_guest_runtime)
         sim.start_job_shared(guest, selection.guest_cpus_per_node, selection.mates)
 

@@ -13,84 +13,58 @@ DESIGN.md).  The benchmarks and the CLI are thin wrappers around this
 package.
 """
 
-from repro.experiments.executors import (
-    Executor,
-    ExecutorError,
-    MergeExecutor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    ShardedExecutor,
-    parse_shard,
-)
-from repro.experiments.paper import (
-    FigureResult,
-    figure_1_to_3_maxsd_sweep,
-    figure_4_to_6_heatmaps,
-    figure_7_daily_series,
-    figure_8_runtime_models,
-    figure_9_real_run,
-    table_1_workloads,
-    table_2_application_mix,
-)
-from repro.experiments.runner import PolicyRun, cluster_for, run_workload
-from repro.experiments.scenario import (
-    BUILTIN_SCENARIOS,
-    ScenarioCell,
-    ScenarioError,
-    ScenarioOutcome,
-    ScenarioSpec,
-    WorkloadRef,
-    builtin_scenario,
-    load_spec,
-    render_report,
-    run_scenario,
-    save_spec,
-)
-from repro.experiments.sweep import (
-    SweepEntry,
-    SweepError,
-    SweepResult,
-    SweepRunner,
-    SweepTask,
-    fingerprint_workload,
-    task_cache_key,
-)
+import importlib
+from typing import Any
 
-__all__ = [
-    "BUILTIN_SCENARIOS",
-    "Executor",
-    "ExecutorError",
-    "FigureResult",
-    "MergeExecutor",
-    "PolicyRun",
-    "ProcessPoolExecutor",
-    "SerialExecutor",
-    "ShardedExecutor",
-    "parse_shard",
-    "ScenarioCell",
-    "ScenarioError",
-    "ScenarioOutcome",
-    "ScenarioSpec",
-    "SweepEntry",
-    "SweepError",
-    "SweepResult",
-    "SweepRunner",
-    "SweepTask",
-    "WorkloadRef",
-    "builtin_scenario",
-    "cluster_for",
-    "figure_1_to_3_maxsd_sweep",
-    "figure_4_to_6_heatmaps",
-    "figure_7_daily_series",
-    "figure_8_runtime_models",
-    "figure_9_real_run",
-    "fingerprint_workload",
-    "load_spec",
-    "render_report",
-    "run_scenario",
-    "run_workload",
-    "save_spec",
-    "table_1_workloads",
-    "table_2_application_mix",
-    "task_cache_key",
-]
+#: Public name -> the submodule defining it.  The submodules load on first
+#: attribute access (PEP 562), so importing one of them, say
+#: :mod:`repro.experiments.runner`, does not load the others.
+_EXPORTS = {
+    "Executor": "executors",
+    "ExecutorError": "executors",
+    "MergeExecutor": "executors",
+    "ProcessPoolExecutor": "executors",
+    "SerialExecutor": "executors",
+    "ShardedExecutor": "executors",
+    "parse_shard": "executors",
+    "FigureResult": "paper",
+    "figure_1_to_3_maxsd_sweep": "paper",
+    "figure_4_to_6_heatmaps": "paper",
+    "figure_7_daily_series": "paper",
+    "figure_8_runtime_models": "paper",
+    "figure_9_real_run": "paper",
+    "table_1_workloads": "paper",
+    "table_2_application_mix": "paper",
+    "PolicyRun": "runner",
+    "cluster_for": "runner",
+    "run_workload": "runner",
+    "BUILTIN_SCENARIOS": "scenario",
+    "ScenarioCell": "scenario",
+    "ScenarioError": "scenario",
+    "ScenarioOutcome": "scenario",
+    "ScenarioSpec": "scenario",
+    "WorkloadRef": "scenario",
+    "builtin_scenario": "scenario",
+    "load_spec": "scenario",
+    "render_report": "scenario",
+    "run_scenario": "scenario",
+    "save_spec": "scenario",
+    "SweepEntry": "sweep",
+    "SweepError": "sweep",
+    "SweepResult": "sweep",
+    "SweepRunner": "sweep",
+    "SweepTask": "sweep",
+    "fingerprint_workload": "sweep",
+    "task_cache_key": "sweep",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -78,25 +78,13 @@ class BackfillScheduler(Scheduler):
     def on_pass_start(self, sim: "Simulation") -> None:
         """Hook called at the beginning of every scheduling pass."""
 
-    @staticmethod
-    def running_requested_work(sim: "Simulation") -> float:
-        """Remaining requested work (CPU·seconds) of the running jobs."""
-        now = sim.now
-        total = 0.0
-        for job in sim.running.values():
-            if job.start_time is None:
-                continue
-            remaining = max(0.0, job.start_time + job.requested_time - now)
-            total += remaining * job.requested_cpus
-        return total
-
     # ------------------------------------------------------------------ #
     def schedule(self, sim: "Simulation") -> None:
         if sim.cluster.num_free_nodes == 0 and not self.schedule_when_saturated:
             return
         self.on_pass_start(sim)
         profile = sim.availability_profile()
-        work_ahead = self.running_requested_work(sim)
+        work_ahead = sim.running_requested_work()
         trace = sim.trace
         examined = 0
         blocked_ahead = 0  # higher-priority jobs that could not start this pass

@@ -40,6 +40,10 @@ class Cluster:
         }
         self._free_nodes: Set[int] = set(self.nodes)
         self._used_cpus: int = 0
+        # job id -> number of its nodes holding more than one job.  A job
+        # has an entry only while that number is positive, so a job that
+        # leaves the cluster leaves no entry behind.
+        self._shared_nodes: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -84,6 +88,35 @@ class Cluster:
     def node(self, node_id: int) -> Node:
         """Return the node with the given id."""
         return self.nodes[node_id]
+
+    def shares_node(self, job_id: int) -> bool:
+        """True when one of the job's nodes also holds another job."""
+        return job_id in self._shared_nodes
+
+    def _count_shared(self, job_id: int, delta: int) -> None:
+        count = self._shared_nodes.get(job_id, 0) + delta
+        if count:
+            self._shared_nodes[job_id] = count
+        else:
+            del self._shared_nodes[job_id]
+
+    def _joined(self, node: Node, job_id: int) -> None:
+        """Count a job's arrival on a node (called after the allocation)."""
+        held = node.allocations
+        if len(held) == 2:  # the node just became shared
+            for jid in held:
+                self._count_shared(jid, 1)
+        elif len(held) > 2:
+            self._count_shared(job_id, 1)
+
+    def _left(self, node: Node, job_id: int) -> None:
+        """Count a job's departure from a node (called after the release)."""
+        held = node.allocations
+        if len(held) == 1:  # the node is no longer shared
+            self._count_shared(job_id, -1)
+            self._count_shared(next(iter(held)), -1)
+        elif len(held) > 1:
+            self._count_shared(job_id, -1)
 
     # ------------------------------------------------------------------ #
     # Whole-node (select/linear style) allocation
@@ -148,6 +181,7 @@ class Cluster:
             node = self.nodes[nid]
             owner = node.is_free
             node.allocate(job.job_id, cpus, owner=owner)
+            self._joined(node, job.job_id)
             self._used_cpus += cpus
             self._free_nodes.discard(nid)
         return sorted(cpus_per_node)
@@ -173,6 +207,7 @@ class Cluster:
             if nid not in cpus_per_node:
                 node = self.nodes[nid]
                 self._used_cpus -= node.release(job_id)
+                self._left(node, job_id)
                 if node.is_free:
                     self._free_nodes.add(nid)
         for nid, cpus in cpus_per_node.items():
@@ -181,6 +216,7 @@ class Cluster:
                 self.shrink_job_on_node(job_id, nid, cpus)
             else:
                 node.allocate(job_id, cpus, owner=node.is_free)
+                self._joined(node, job_id)
                 self._used_cpus += cpus
                 self._free_nodes.discard(nid)
 
@@ -190,29 +226,15 @@ class Cluster:
             node = self.nodes[nid]
             if job.job_id in node.allocations:
                 self._used_cpus -= node.release(job.job_id)
+                self._left(node, job.job_id)
             if node.is_free:
                 self._free_nodes.add(nid)
 
-    def release_all(self) -> None:
-        """Free every allocation in the cluster (used by tests)."""
-        for node in self.nodes.values():
-            node.allocations.clear()
-            node.owner = None
-        self._free_nodes = set(self.nodes)
-        self._used_cpus = 0
-
     # ------------------------------------------------------------------ #
-    def jobs_on_node(self, node_id: int) -> List[int]:
-        """Ids of jobs with CPUs on the given node."""
-        return self.nodes[node_id].jobs
-
-    def nodes_of_job(self, job_id: int) -> List[int]:
-        """Ids of nodes on which the job currently holds CPUs."""
-        return [nid for nid, node in self.nodes.items() if job_id in node.allocations]
-
     def validate(self) -> None:
         """Internal-consistency check used by tests and property checks."""
         total_used = 0
+        shared: Dict[int, int] = {}
         for nid, node in self.nodes.items():
             if node.used_cpus > node.total_cpus:
                 raise AssertionError(f"node {nid} over-allocated: {node.used_cpus}")
@@ -221,9 +243,16 @@ class Cluster:
             if not node.is_free and nid in self._free_nodes:
                 raise AssertionError(f"node {nid} allocated but in free set")
             total_used += node.used_cpus
+            if node.is_shared:
+                for job_id in node.allocations:
+                    shared[job_id] = shared.get(job_id, 0) + 1
         if total_used != self._used_cpus:
             raise AssertionError(
                 f"cluster used-cpu counter {self._used_cpus} != actual {total_used}"
+            )
+        if shared != self._shared_nodes:
+            raise AssertionError(
+                f"cluster shared-node counts {self._shared_nodes} != actual {shared}"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

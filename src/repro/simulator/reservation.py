@@ -19,6 +19,13 @@ pass, with a reservation added after most of them), so the step function is
 kept as two parallel lists updated in place: each release or reservation
 inserts its breakpoints and adds its node count over the affected range,
 instead of rebuilding the profile from its change list.
+
+The simulation driver keeps the running jobs' requested ends, with their
+node totals, sorted as jobs start, end and are reconfigured, so each
+scheduling pass gets a fresh base profile through :meth:`from_steps`
+without visiting the running jobs.  :meth:`from_running_jobs` builds the
+same profile from the jobs themselves: the slow reference the driver's
+index is tested against.
 """
 
 from __future__ import annotations
@@ -86,44 +93,35 @@ class ReservationMap:
         now: float,
         free_now: int,
         running_jobs: Iterable[Job],
-        use_requested_time: bool = True,
     ) -> "ReservationMap":
         """Build the profile from the currently running jobs.
 
-        ``use_requested_time=True`` predicts each running job's end as
-        ``start + requested_time`` (what a real scheduler can know);
-        ``False`` uses the simulator's exact predicted end (oracle mode,
-        useful for experiments on prediction accuracy such as the paper's
-        Workload 2).
+        Each running job's end is predicted as ``start + requested_time``
+        (what a real scheduler can know, as in SLURM).
         """
         releases: List[Tuple[float, int]] = []
         for job in running_jobs:
             if job.state is not JobState.RUNNING or job.start_time is None:
                 continue
-            if use_requested_time:
-                end = job.start_time + job.requested_time
-            else:
-                end = job.predicted_end_time(now)
-            if not math.isfinite(end):
-                end = job.start_time + job.requested_time
-            end = max(end, now)
-            releases.append((end, len(job.allocated_nodes)))
+            releases.append((job.start_time + job.requested_time, len(job.allocated_nodes)))
         return cls(total_nodes, now, free_now, releases)
 
-    # ------------------------------------------------------------------ #
-    def copy(self) -> "ReservationMap":
-        """Independent copy (the breakpoint lists are copied).
+    @classmethod
+    def from_steps(
+        cls, total_nodes: int, now: float, times: List[float], free: List[int]
+    ) -> "ReservationMap":
+        """Adopt a ready step function (no validation, the lists are not copied).
 
-        The simulation driver caches the base profile built from the running
-        jobs and hands each scheduling pass a copy, so the pass can add its
-        own reservations without corrupting the cache.
+        ``times`` are the unique, increasing breakpoints, the first one
+        ``float(now)``; ``free[k]`` is the free-node count from ``times[k]``
+        to the next breakpoint.
         """
-        clone = ReservationMap.__new__(ReservationMap)
-        clone.total_nodes = self.total_nodes
-        clone.now = self.now
-        clone._times = list(self._times)
-        clone._free = list(self._free)
-        return clone
+        profile = cls.__new__(cls)
+        profile.total_nodes = total_nodes
+        profile.now = now
+        profile._times = times
+        profile._free = free
+        return profile
 
     def _breakpoint(self, time: float) -> int:
         """Index of the breakpoint at ``time`` (``>= now``), inserted if absent.

@@ -19,7 +19,9 @@ accounts for memory-bandwidth interference between co-scheduled jobs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.metrics.energy import LinearPowerModel
@@ -107,6 +109,16 @@ class SimulationResult:
 class Simulation:
     """Event-driven simulation of a workload on a cluster under a scheduler.
 
+    The driver keeps an index of the running set, updated wherever an
+    allocation changes (a start, a reconfiguration, an end): each running
+    job's requested end ``start_time + requested_time``, node count and
+    requested CPUs, plus the distinct requested ends with their summed node
+    counts in time order.  :meth:`availability_profile` and
+    :meth:`running_requested_work` read the index instead of the jobs, so a
+    running job's ``requested_time`` may change only just before
+    :meth:`reconfigure_job`, which re-reads it (SD-Policy's wall-limit
+    extension of a shrunk mate).
+
     Parameters
     ----------
     cluster:
@@ -127,11 +139,6 @@ class Simulation:
         completed jobs' CPU-seconds over the run.  Defaults to
         ``LinearPowerModel()``; pass ``None`` to disable energy accounting.
         A model without both attributes is rejected with a ``TypeError``.
-    use_requested_time_for_predictions:
-        If True (default, like SLURM) the availability profile used for wait
-        time estimation predicts running jobs to end at
-        ``start + requested_time``; if False the simulator's exact end times
-        are used (oracle predictions).
     retain_jobs:
         Every job is folded into :attr:`streaming` at completion, which
         supplies the result's aggregates and energy in both modes.  If True
@@ -167,7 +174,6 @@ class Simulation:
         scheduler,
         runtime_model=None,
         power_model=_DEFAULT_POWER_MODEL,
-        use_requested_time_for_predictions: bool = True,
         retain_jobs: bool = True,
         sinks: Iterable["JobSink"] = (),
         trace=None,
@@ -193,7 +199,6 @@ class Simulation:
                 "peak_watts=...) or None to disable energy accounting"
             )
         self.power_model = power_model
-        self.use_requested_time_for_predictions = use_requested_time_for_predictions
         self.retain_jobs = retain_jobs
 
         self.events = EventQueue()
@@ -224,11 +229,13 @@ class Simulation:
         self._next_stream_job: Optional[Job] = None
         self._last_stream_submit: float = -math.inf
 
-        # Availability-profile cache: the base profile derived from the
-        # running set is rebuilt only when the allocation state changes
-        # (version bump) or time advances; schedulers receive copies.
         self._avail_version: int = 0
-        self._profile_cache: Optional[Tuple[float, int, int, ReservationMap]] = None
+        # The running-set index (see the class docstring): job id ->
+        # (requested end, node count, requested CPUs) in ``running`` order,
+        # and the sorted distinct requested ends with their node totals.
+        self._requested: Dict[int, Tuple[float, int, int]] = {}
+        self._ends: List[float] = []
+        self._end_nodes: List[int] = []
 
         if hasattr(self.scheduler, "bind"):
             self.scheduler.bind(self)
@@ -317,58 +324,78 @@ class Simulation:
     # Primitives used by schedulers
     # ------------------------------------------------------------------ #
     def availability_profile(self) -> ReservationMap:
-        """Build the future free-node profile from the running jobs.
+        """The future free-node profile of the running set, from now on.
 
-        The profile of the running set is cached and invalidated when a job
-        starts, ends or is reconfigured (or when time advances), so the many
-        profile requests issued within one instant — one per submit hook
-        plus one per scheduling pass — rebuild it only once.  Callers always
-        receive a private copy they may add reservations to.
+        Each running job frees its nodes at its requested end; ends at or
+        before now count as free now.  Callers receive a fresh profile they
+        may add reservations to.
         """
-        cached = self._profile_cache
-        if (
-            cached is not None
-            and cached[0] == self.now
-            and cached[1] == self.cluster.num_free_nodes
-            and cached[2] == self._avail_version
-        ):
-            return cached[3].copy()
-        base = ReservationMap.from_running_jobs(
-            total_nodes=self.cluster.num_nodes,
-            now=self.now,
-            free_now=self.cluster.num_free_nodes,
-            running_jobs=self.running.values(),
-            use_requested_time=self.use_requested_time_for_predictions,
+        now = self.now
+        ends = self._ends
+        counts = self._end_nodes
+        due = bisect_right(ends, now)
+        free_now = self.cluster.num_free_nodes + sum(counts[:due])
+        return ReservationMap.from_steps(
+            self.cluster.num_nodes,
+            now,
+            [float(now), *ends[due:]],
+            list(accumulate(counts[due:], initial=free_now)),
         )
-        self._profile_cache = (self.now, self.cluster.num_free_nodes, self._avail_version, base)
-        return base.copy()
+
+    def running_requested_work(self) -> float:
+        """Remaining requested work (CPU·seconds) of the running jobs."""
+        now = self.now
+        total = 0.0
+        for end, _, cpus in self._requested.values():
+            total += max(0.0, end - now) * cpus
+        return total
+
+    def _index_job(self, job: Job) -> None:
+        """Enter a running job in the index, or re-read its fields."""
+        old = self._requested.get(job.job_id)
+        if old is not None:
+            self._count_end(old[0], -old[1])
+        end = job.start_time + job.requested_time
+        nodes = len(job.allocated_nodes)
+        # Assigning to a present key keeps its place in ``running`` order,
+        # and with it the float order of the work sum.
+        self._requested[job.job_id] = (end, nodes, job.requested_cpus)
+        self._count_end(end, nodes)
+
+    def _count_end(self, end: float, nodes: int) -> None:
+        """Add ``nodes`` (negative to withdraw) to requested end ``end``'s total."""
+        ends, counts = self._ends, self._end_nodes
+        i = bisect_left(ends, end)
+        if i < len(ends) and ends[i] == end:
+            counts[i] += nodes
+            if not counts[i]:
+                del ends[i], counts[i]
+        else:
+            ends.insert(i, end)
+            counts.insert(i, nodes)
 
     @property
     def allocation_version(self) -> int:
         """Counter bumped whenever a job starts, ends or is reconfigured.
 
-        State derived from the running set's allocations (the cached
-        availability profile, the mate selector's pool) is valid for as
-        long as this value is unchanged.
+        State derived from the running set's allocations (the mate
+        selector's pool) is valid for as long as this value is unchanged.
         """
         return self._avail_version
-
-    def _invalidate_profile(self) -> None:
-        """Bump :attr:`allocation_version` (an allocation changed)."""
-        self._avail_version += 1
 
     def start_job_static(self, job: Job, node_ids: Optional[Sequence[int]] = None) -> List[int]:
         """Start a job on an exclusive whole-node allocation."""
         if job.job_id not in self.pending:
             raise RuntimeError(f"job {job.job_id} is not pending")
         nodes = self.cluster.allocate_static(job, node_ids)
-        self._invalidate_profile()
+        self._avail_version += 1
         self.pending.remove(job.job_id)
         job.mark_started(self.now, nodes)
         cpus = {nid: self.cluster.node(nid).total_cpus for nid in nodes}
         speed = self.runtime_model.speed(job, cpus)
         job.reconfigure(self.now, cpus, speed)
         self.running[job.job_id] = job
+        self._index_job(job)
         self._push_end_event(job)
         if self.trace is not None:
             self.trace.emit(
@@ -396,7 +423,7 @@ class Simulation:
         if job.job_id not in self.pending:
             raise RuntimeError(f"job {job.job_id} is not pending")
         nodes = self.cluster.allocate_shared(job, cpus_per_node)
-        self._invalidate_profile()
+        self._avail_version += 1
         self.pending.remove(job.job_id)
         job.mark_started(self.now, nodes)
         speed = self.runtime_model.speed(job, cpus_per_node)
@@ -408,6 +435,7 @@ class Simulation:
                 mate.mates.append(job.job_id)
             mate.was_mate = True
         self.running[job.job_id] = job
+        self._index_job(job)
         self._push_end_event(job)
         if self.trace is not None:
             self.trace.emit(
@@ -434,8 +462,9 @@ class Simulation:
         trace = self.trace
         cpus_before = sum(job.assigned_cpus.values()) if trace is not None else 0
         self.cluster.reconfigure_allocation(job.job_id, cpus_per_node)
-        self._invalidate_profile()
+        self._avail_version += 1
         job.allocated_nodes = sorted(cpus_per_node)
+        self._index_job(job)
         speed = self.runtime_model.speed(job, cpus_per_node)
         job.reconfigure(self.now, cpus_per_node, speed)
         self._push_end_event(job)
@@ -489,8 +518,10 @@ class Simulation:
         job.mark_finished(self.now)
         self.events.retire(job_id)
         self.cluster.release_job(job)
-        self._invalidate_profile()
-        self.running.pop(job_id, None)
+        self._avail_version += 1
+        del self.running[job_id]
+        end, nodes, _ = self._requested.pop(job_id)
+        self._count_end(end, -nodes)
         self._last_end = max(self._last_end, self.now)
         if self.trace is not None:
             wait = (

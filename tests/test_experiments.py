@@ -7,8 +7,14 @@ seconds; the benchmarks regenerate the figures at a more faithful scale.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro.experiments
 
 from repro.core.sd_policy import SDPolicyScheduler
 from repro.experiments.paper import (
@@ -127,3 +133,22 @@ class TestFigureExperiments:
 
     def test_maxsd_settings_match_paper_labels(self):
         assert set(MAXSD_SETTINGS) == {"MAXSD 5", "MAXSD 10", "MAXSD 50", "MAXSD inf", "DynAVGSD"}
+
+
+class TestPackageExports:
+    def test_every_export_resolves(self):
+        for name in repro.experiments.__all__:
+            assert getattr(repro.experiments, name) is not None
+        with pytest.raises(AttributeError):
+            repro.experiments.no_such_export
+
+    def test_importing_the_runner_loads_no_other_harness_module(self):
+        src = str(Path(repro.experiments.__file__).resolve().parents[2])
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.experiments.runner; "
+             "print(sorted(m for m in sys.modules if m.startswith('repro.experiments.')))"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True, timeout=60,
+        ).stdout.strip()
+        assert loaded == "['repro.experiments.runner']"

@@ -102,6 +102,18 @@ class TestProfileSets:
         uniform = get_profile_set("uniform")
         assert lookup_application("STREAM", uniform) is DEFAULT_APPLICATION
 
+    def test_lookup_ignores_case_and_the_first_key_wins(self):
+        table = {
+            "Stream": APPLICATIONS["STREAM"],
+            "STREAM": APPLICATIONS["PILS"],
+            "pils": APPLICATIONS["PILS"],
+        }
+        for name in ("stream", "STREAM", "sTrEaM"):
+            assert lookup_application(name, table) is APPLICATIONS["STREAM"]
+        assert lookup_application("PILS", table) is APPLICATIONS["PILS"]
+        assert lookup_application("Alya", table) is DEFAULT_APPLICATION
+        assert lookup_application(None, table) is DEFAULT_APPLICATION
+
     def test_unknown_set_error_names_candidates(self):
         with pytest.raises(ValueError, match="available: table2, uniform"):
             get_profile_set("mystery")

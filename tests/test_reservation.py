@@ -101,15 +101,6 @@ class TestFromRunningJobs:
         )
         assert profile.earliest_start(4) == 100.0
 
-    def test_oracle_mode_uses_predicted_end(self):
-        job = self._running_job(1, start=0.0, req_time=100.0, nodes=2)
-        profile = ReservationMap.from_running_jobs(
-            total_nodes=4, now=10.0, free_now=2, running_jobs=[job],
-            use_requested_time=False,
-        )
-        # Actual runtime is 50s (half the request).
-        assert profile.earliest_start(4) == 50.0
-
     def test_pending_job_ignored(self):
         pending = make_job(job_id=3, nodes=2)
         profile = ReservationMap.from_running_jobs(
